@@ -50,7 +50,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.0.0"
+const Version = "1.1.0"
 
 // Transport is the wire the scanner sends probes into and receives
 // responses from. netsim.Link implements it for the simulated Internet; a
@@ -732,7 +732,7 @@ func (s *Scanner) initMetrics(validator *validate.Validator) {
 	s.dedupMisses = reg.Counter("zmapgo_dedup_misses_total",
 		"Validated responses seen for the first time.")
 	validator.Instrument(reg.Counter("zmapgo_validate_computes_total",
-		"Validation-word (HMAC) computations across send and receive paths."))
+		"Validation words (one AES-128 block each) computed: one per probe built, one per response classified."))
 
 	c := &s.counters
 	reg.CounterFunc("zmapgo_sent_total",

@@ -9,9 +9,11 @@ import (
 // FuzzValidate feeds arbitrary frames through the full
 // parse-then-classify pipeline of every registered probe module: the
 // exact path a hostile network drives in the receiver. Invariants: no
-// panic, and no classifier accepts a frame that is not addressed to the
-// scanner — the cheapest possible validator-bypass check, holding for
-// every input the fuzzer can construct.
+// panic; no classifier accepts a frame that is not addressed to the
+// scanner; and an accepted result names either the frame's own source or,
+// for a port-unreach, the target of a quote that is the head of a probe
+// this scan would send — so no input the fuzzer can construct writes a
+// row for a flow it holds no validation word for.
 func FuzzValidate(f *testing.F) {
 	ctx := testContext()
 	// True positive: the simulator-shaped SYN-ACK a live host would send
@@ -41,15 +43,17 @@ func FuzzValidate(f *testing.F) {
 	f.Add(spoof)
 	f.Add(probeFrame) // our own probe looped back
 	f.Add([]byte{})
+	// A genuine port-unreachable quoting our UDP probe, and the same
+	// error with the quoted source port off by one.
+	udpMod, _ := Lookup("udp")
+	udpProbe := mustProbe(f, udpMod, nil, ctx, 0x0A000001, 53)
+	quote := udpProbe[packet.EthernetHeaderLen : packet.EthernetHeaderLen+packet.IPv4HeaderLen+8]
+	f.Add(appendUnreach(ctx, 0x0A0000FE, quote))
+	forged := append([]byte(nil), quote...)
+	forged[packet.IPv4HeaderLen+1] ^= 1
+	f.Add(appendUnreach(ctx, 0x0A0000FE, forged))
 
-	mods := make([]Module, 0, len(Names()))
-	for _, n := range Names() {
-		m, err := Lookup(n)
-		if err != nil {
-			f.Fatal(err)
-		}
-		mods = append(mods, m)
-	}
+	mods := allModules(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := packet.Parse(data)
@@ -64,8 +68,19 @@ func FuzzValidate(f *testing.F) {
 			if frame.IP.Dst != ctx.SrcIP {
 				t.Fatalf("%s accepted a frame not addressed to the scanner (dst %08x)", m.Name(), frame.IP.Dst)
 			}
-			if res.IP != frame.IP.Src {
-				t.Fatalf("%s classified result IP %08x from frame src %08x", m.Name(), res.IP, frame.IP.Src)
+			if res.Class != "port-unreach" {
+				if res.IP != frame.IP.Src {
+					t.Fatalf("%s classified result IP %08x from frame src %08x", m.Name(), res.IP, frame.IP.Src)
+				}
+				continue
+			}
+			// The row names the quoted target, which the sender of the
+			// error chose: it must quote the probe the module itself
+			// builds for that target.
+			q, ok := ParseUnreachQuote(frame.Payload)
+			if !ok || q.Src != ctx.SrcIP || q.Dst != res.IP || q.DstPort != res.Port ||
+				q.SrcPort != probeSourcePort(t, m, ctx, res.IP, res.Port) {
+				t.Fatalf("%s accepted a port-unreach for (%08x, %d) on an unvalidated quote %+v", m.Name(), res.IP, res.Port, q)
 			}
 		}
 	})

@@ -51,9 +51,20 @@ type Context struct {
 	TimestampValue uint32
 }
 
-func (c *Context) ipID(ip uint32, port uint16) uint16 {
+// word computes the validation word of the probe to (ip, port): the one
+// block every mutable field of the probe, and every check on a response
+// to it, is read from.
+func (c *Context) word(ip uint32, port uint16) validate.Word {
+	return c.Validator.Word(c.SrcIP, ip, port)
+}
+
+func (c *Context) sourcePort(w validate.Word) uint16 {
+	return w.SourcePort(c.SourcePortBase, c.SourcePortCount)
+}
+
+func (c *Context) ipID(w validate.Word) uint16 {
 	if c.RandomIPID {
-		return uint16(c.Validator.Compute(c.SrcIP, ip, port) >> 40)
+		return w.IPID()
 	}
 	return packet.ZMapIPID
 }
@@ -133,10 +144,10 @@ func (SYNScan) Name() string { return "tcp_synscan" }
 // MakeProbe implements Module.
 func (SYNScan) MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([]byte, error) {
 	opts := packet.BuildOptions(ctx.Options, ctx.TimestampValue)
-	sport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
+	w := ctx.word(ip, port)
 	buf = packet.AppendEthernet(buf, ctx.SrcMAC, ctx.GwMAC, packet.EtherTypeIPv4)
 	buf = packet.AppendIPv4(buf, packet.IPv4{
-		ID:       ctx.ipID(ip, port),
+		ID:       ctx.ipID(w),
 		DontFrag: true,
 		TTL:      ctx.TTL,
 		Protocol: packet.ProtocolTCP,
@@ -144,9 +155,9 @@ func (SYNScan) MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([]by
 		Dst:      ip,
 	}, packet.TCPHeaderLen+len(opts))
 	return packet.AppendTCP(buf, packet.TCP{
-		SrcPort: sport,
+		SrcPort: ctx.sourcePort(w),
 		DstPort: port,
-		Seq:     ctx.Validator.TCPSeq(ctx.SrcIP, ip, port),
+		Seq:     w.Seq(),
 		Flags:   packet.FlagSYN,
 		Window:  65535,
 		Options: opts,
@@ -161,11 +172,8 @@ func (SYNScan) Classify(ctx *Context, f *packet.Frame) (Result, bool) {
 	ip := f.IP.Src
 	port := f.TCP.SrcPort // responder's source port is the scanned port
 	isRST := f.TCP.Flags&packet.FlagRST != 0
-	if !ctx.Validator.TCPAckValid(ctx.SrcIP, ip, port, f.TCP.Ack, isRST) {
-		return Result{}, false
-	}
-	wantSport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
-	if f.TCP.DstPort != wantSport {
+	w := ctx.word(ip, port)
+	if !w.AckValid(f.TCP.Ack, isRST) || f.TCP.DstPort != ctx.sourcePort(w) {
 		return Result{}, false
 	}
 	r := Result{IP: ip, Port: port, TTL: f.IP.TTL}
@@ -191,10 +199,11 @@ func (ICMPEchoScan) Name() string { return "icmp_echoscan" }
 
 // MakeProbe implements Module.
 func (ICMPEchoScan) MakeProbe(buf []byte, ctx *Context, ip uint32, _ uint16) ([]byte, error) {
-	id, seq := ctx.Validator.ICMPIDSeq(ctx.SrcIP, ip)
+	w := ctx.word(ip, 0)
+	id, seq := w.ICMPIDSeq()
 	buf = packet.AppendEthernet(buf, ctx.SrcMAC, ctx.GwMAC, packet.EtherTypeIPv4)
 	buf = packet.AppendIPv4(buf, packet.IPv4{
-		ID:       ctx.ipID(ip, 0),
+		ID:       ctx.ipID(w),
 		DontFrag: true,
 		TTL:      ctx.TTL,
 		Protocol: packet.ProtocolICMP,
@@ -210,7 +219,7 @@ func (ICMPEchoScan) Classify(ctx *Context, f *packet.Frame) (Result, bool) {
 		return Result{}, false
 	}
 	ip := f.IP.Src
-	id, seq := ctx.Validator.ICMPIDSeq(ctx.SrcIP, ip)
+	id, seq := ctx.word(ip, 0).ICMPIDSeq()
 	if f.ICMP.ID != id || f.ICMP.Seq != seq {
 		return Result{}, false
 	}
@@ -234,17 +243,17 @@ var udpPayload = []byte("zmapgo-udp-probe")
 
 // MakeProbe implements Module.
 func (UDPScan) MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([]byte, error) {
-	sport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
+	w := ctx.word(ip, port)
 	buf = packet.AppendEthernet(buf, ctx.SrcMAC, ctx.GwMAC, packet.EtherTypeIPv4)
 	buf = packet.AppendIPv4(buf, packet.IPv4{
-		ID:       ctx.ipID(ip, port),
+		ID:       ctx.ipID(w),
 		DontFrag: true,
 		TTL:      ctx.TTL,
 		Protocol: packet.ProtocolUDP,
 		Src:      ctx.SrcIP,
 		Dst:      ip,
 	}, packet.UDPHeaderLen+len(udpPayload))
-	return packet.AppendUDP(buf, sport, port, ctx.SrcIP, ip, udpPayload), nil
+	return packet.AppendUDP(buf, ctx.sourcePort(w), port, ctx.SrcIP, ip, udpPayload), nil
 }
 
 // Classify implements Module.
@@ -252,15 +261,18 @@ func (UDPScan) Classify(ctx *Context, f *packet.Frame) (Result, bool) {
 	switch {
 	case f.UDP != nil && f.IP.Dst == ctx.SrcIP:
 		ip, port := f.IP.Src, f.UDP.SrcPort
-		wantSport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
-		if f.UDP.DstPort != wantSport {
+		if f.UDP.DstPort != ctx.sourcePort(ctx.word(ip, port)) {
 			return Result{}, false
 		}
 		return Result{IP: ip, Port: port, Class: "udp", Success: true, TTL: f.IP.TTL}, true
 	case f.ICMP != nil && f.IP.Dst == ctx.SrcIP && f.ICMP.Type == packet.ICMPDestUnreach:
 		// The quoted original datagram identifies the scanned target.
+		// The quote is attacker-controlled, so it must be one of our own
+		// probes: sent from our address, from the source port derived
+		// for the flow it names.
 		q, ok := ParseUnreachQuote(f.Payload)
-		if !ok || q.Proto != packet.ProtocolUDP {
+		if !ok || q.Proto != packet.ProtocolUDP || q.Src != ctx.SrcIP ||
+			q.SrcPort != ctx.sourcePort(ctx.word(q.Dst, q.DstPort)) {
 			return Result{}, false
 		}
 		return Result{IP: q.Dst, Port: q.DstPort, Class: "port-unreach", Success: false, TTL: f.IP.TTL}, true

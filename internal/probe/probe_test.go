@@ -82,7 +82,7 @@ func TestSYNProbeWellFormed(t *testing.T) {
 	if f.IP.ID != packet.ZMapIPID {
 		t.Errorf("static IP ID mode: id = %d, want %d", f.IP.ID, packet.ZMapIPID)
 	}
-	if f.TCP.Seq != ctx.Validator.TCPSeq(ctx.SrcIP, 0x08080808, 443) {
+	if f.TCP.Seq != ctx.word(0x08080808, 443).Seq() {
 		t.Error("seq not derived from validator")
 	}
 	sport := f.TCP.SrcPort
@@ -185,7 +185,7 @@ func TestSYNClassifyRejectsForgeries(t *testing.T) {
 	buf = packet.AppendIPv4(buf, packet.IPv4{TTL: 64, Protocol: packet.ProtocolTCP, Src: 99, Dst: ctx.SrcIP}, packet.TCPHeaderLen)
 	buf, _ = packet.AppendTCP(buf, packet.TCP{
 		SrcPort: 80,
-		DstPort: ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, 99, 80),
+		DstPort: ctx.sourcePort(ctx.word(99, 80)),
 		Ack:     12345, // not validator-derived
 		Flags:   packet.FlagSYN | packet.FlagACK,
 	}, 99, ctx.SrcIP, nil)
@@ -194,7 +194,7 @@ func TestSYNClassifyRejectsForgeries(t *testing.T) {
 		t.Error("forged ack accepted")
 	}
 	// Correct ack but wrong destination (not our scanner).
-	seq := ctx.Validator.TCPSeq(ctx.SrcIP, 99, 80)
+	seq := ctx.word(99, 80).Seq()
 	buf2 := packet.AppendEthernet(nil, packet.MAC{1}, ctx.SrcMAC, packet.EtherTypeIPv4)
 	buf2 = packet.AppendIPv4(buf2, packet.IPv4{TTL: 64, Protocol: packet.ProtocolTCP, Src: 99, Dst: 12345}, packet.TCPHeaderLen)
 	buf2, _ = packet.AppendTCP(buf2, packet.TCP{
@@ -207,7 +207,7 @@ func TestSYNClassifyRejectsForgeries(t *testing.T) {
 	// Correct ack but wrong dst port (not our source-port range slot).
 	buf3 := packet.AppendEthernet(nil, packet.MAC{1}, ctx.SrcMAC, packet.EtherTypeIPv4)
 	buf3 = packet.AppendIPv4(buf3, packet.IPv4{TTL: 64, Protocol: packet.ProtocolTCP, Src: 99, Dst: ctx.SrcIP}, packet.TCPHeaderLen)
-	badPort := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, 99, 80) + 1
+	badPort := ctx.sourcePort(ctx.word(99, 80)) + 1
 	buf3, _ = packet.AppendTCP(buf3, packet.TCP{
 		SrcPort: 80, DstPort: badPort, Ack: seq + 1, Flags: packet.FlagSYN | packet.FlagACK,
 	}, 99, ctx.SrcIP, nil)
@@ -406,7 +406,7 @@ func TestSYNACKScanRejectsForgedSeq(t *testing.T) {
 	buf = packet.AppendIPv4(buf, packet.IPv4{TTL: 64, Protocol: packet.ProtocolTCP, Src: 9, Dst: ctx.SrcIP}, packet.TCPHeaderLen)
 	buf, _ = packet.AppendTCP(buf, packet.TCP{
 		SrcPort: 80,
-		DstPort: ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, 9, 80),
+		DstPort: ctx.sourcePort(ctx.word(9, 80)),
 		Seq:     12345, // not the derived ack
 		Flags:   packet.FlagRST,
 	}, 9, ctx.SrcIP, nil)

@@ -19,19 +19,12 @@ func init() {
 // Name implements Module.
 func (SYNACKScan) Name() string { return "tcp_synackscan" }
 
-// synAckAck derives the acknowledgment number carried in the probe; a
-// compliant host's RST echoes it as its sequence number (RFC 9293
-// "If the ACK bit is on, <SEQ=SEG.ACK><CTL=RST>").
-func synAckAck(ctx *Context, ip uint32, port uint16) uint32 {
-	return uint32(ctx.Validator.Compute(ctx.SrcIP, ip, port) >> 32)
-}
-
 // MakeProbe implements Module.
 func (SYNACKScan) MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([]byte, error) {
-	sport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
+	w := ctx.word(ip, port)
 	buf = packet.AppendEthernet(buf, ctx.SrcMAC, ctx.GwMAC, packet.EtherTypeIPv4)
 	buf = packet.AppendIPv4(buf, packet.IPv4{
-		ID:       ctx.ipID(ip, port),
+		ID:       ctx.ipID(w),
 		DontFrag: true,
 		TTL:      ctx.TTL,
 		Protocol: packet.ProtocolTCP,
@@ -39,17 +32,18 @@ func (SYNACKScan) MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([
 		Dst:      ip,
 	}, packet.TCPHeaderLen)
 	return packet.AppendTCP(buf, packet.TCP{
-		SrcPort: sport,
+		SrcPort: ctx.sourcePort(w),
 		DstPort: port,
-		Seq:     ctx.Validator.TCPSeq(ctx.SrcIP, ip, port),
-		Ack:     synAckAck(ctx, ip, port),
+		Seq:     w.Seq(),
+		Ack:     w.Ack(),
 		Flags:   packet.FlagSYN | packet.FlagACK,
 		Window:  65535,
 	}, ctx.SrcIP, ip, nil)
 }
 
 // Classify implements Module: a valid response is a RST whose sequence
-// number equals the probe's acknowledgment number.
+// number equals the probe's acknowledgment number (RFC 9293 "If the ACK
+// bit is on, <SEQ=SEG.ACK><CTL=RST>").
 func (SYNACKScan) Classify(ctx *Context, f *packet.Frame) (Result, bool) {
 	if f.TCP == nil || f.IP.Dst != ctx.SrcIP {
 		return Result{}, false
@@ -59,11 +53,8 @@ func (SYNACKScan) Classify(ctx *Context, f *packet.Frame) (Result, bool) {
 	}
 	ip := f.IP.Src
 	port := f.TCP.SrcPort
-	if f.TCP.Seq != synAckAck(ctx, ip, port) {
-		return Result{}, false
-	}
-	wantSport := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, ip, port)
-	if f.TCP.DstPort != wantSport {
+	w := ctx.word(ip, port)
+	if f.TCP.Seq != w.Ack() || f.TCP.DstPort != ctx.sourcePort(w) {
 		return Result{}, false
 	}
 	// A RST to an unsolicited SYN-ACK demonstrates a live stack, which

@@ -1,16 +1,15 @@
 package probe
 
-import (
-	"zmapgo/internal/packet"
-	"zmapgo/internal/validate"
-)
+import "zmapgo/internal/packet"
 
 // Template rendering for the batched send path (§4.3). Instead of
 // rebuilding every frame with MakeProbe, a sender thread obtains a
 // Renderer once, seeds its preallocated frame ring from the template,
-// and calls Render per target. Render derives the validator-bound
-// fields with a zero-alloc Hasher and rewrites them in place via the
-// packet.Patch* helpers, so the steady state allocates nothing.
+// and calls Render per target. Render computes the flow's validation
+// word — one AES block, the same one MakeProbe and Classify compute —
+// reads sequence, acknowledgment, source port, IP ID and ICMP id/seq
+// from it and rewrites them in place via the packet.Patch* helpers, so
+// the steady state allocates nothing.
 //
 // The prototype frame is built by the module's own MakeProbe, which
 // guarantees the invariant bytes (MACs, TTL, option layout, flags,
@@ -21,24 +20,20 @@ import (
 // support template rendering. The engine falls back to per-probe
 // MakeProbe for modules that do not.
 type Templater interface {
-	// MakeTemplate builds a renderer for one sender thread. Renderers
-	// are not safe for concurrent use (they own a validate.Hasher).
+	// MakeTemplate builds a renderer for one sender thread. A Renderer
+	// holds no mutable state, but each thread renders into its own
+	// frames.
 	MakeTemplate(ctx *Context) (*Renderer, error)
 }
 
 // Renderer retargets seeded probe frames for one sender thread.
 type Renderer struct {
-	tpl    *packet.Template
-	hasher *validate.Hasher
-	patch  func(r *Renderer, frame []byte, ip uint32, port uint16)
-
-	srcIP      uint32
-	sportBase  uint16
-	sportCount uint16
-	randomIPID bool
+	tpl   *packet.Template
+	ctx   *Context
+	patch func(ctx *Context, frame []byte, ip uint32, port uint16)
 }
 
-func newRenderer(m Module, ctx *Context, patch func(*Renderer, []byte, uint32, uint16)) (*Renderer, error) {
+func newRenderer(m Module, ctx *Context, patch func(*Context, []byte, uint32, uint16)) (*Renderer, error) {
 	proto, err := m.MakeProbe(nil, ctx, 0, 0)
 	if err != nil {
 		return nil, err
@@ -47,15 +42,7 @@ func newRenderer(m Module, ctx *Context, patch func(*Renderer, []byte, uint32, u
 	if err != nil {
 		return nil, err
 	}
-	return &Renderer{
-		tpl:        tpl,
-		hasher:     ctx.Validator.NewHasher(),
-		patch:      patch,
-		srcIP:      ctx.SrcIP,
-		sportBase:  ctx.SourcePortBase,
-		sportCount: ctx.SourcePortCount,
-		randomIPID: ctx.RandomIPID,
-	}, nil
+	return &Renderer{tpl: tpl, ctx: ctx, patch: patch}, nil
 }
 
 // Len returns the frame length; every rendered frame is exactly this
@@ -67,56 +54,35 @@ func (r *Renderer) Len() int { return r.tpl.Len() }
 func (r *Renderer) Seed(frame []byte) { r.tpl.Seed(frame) }
 
 // Render retargets a seeded frame at (ip, port), deriving the
-// validator-bound fields and fixing checksums incrementally. It
-// allocates nothing.
+// validator-bound fields from one validation word and fixing checksums
+// incrementally. It allocates nothing.
 func (r *Renderer) Render(frame []byte, ip uint32, port uint16) {
-	r.patch(r, frame, ip, port)
+	r.patch(r.ctx, frame, ip, port)
 }
 
-// patchSYN mirrors SYNScan.MakeProbe. One validation word supplies
-// both the sequence number and (when enabled) the random IP ID — the
-// same bits MakeProbe extracts with separate computations.
-func patchSYN(r *Renderer, frame []byte, ip uint32, port uint16) {
-	w := r.hasher.Compute(r.srcIP, ip, port)
-	ipid := uint16(packet.ZMapIPID)
-	if r.randomIPID {
-		ipid = uint16(w >> 40)
-	}
-	sport := r.hasher.SourcePort(r.sportBase, r.sportCount, ip, port)
-	packet.PatchTCP(frame, ipid, ip, sport, port, uint32(w), 0)
+// patchSYN mirrors SYNScan.MakeProbe.
+func patchSYN(ctx *Context, frame []byte, ip uint32, port uint16) {
+	w := ctx.word(ip, port)
+	packet.PatchTCP(frame, ctx.ipID(w), ip, ctx.sourcePort(w), port, w.Seq(), 0)
 }
 
-// patchSYNACK mirrors SYNACKScan.MakeProbe; the acknowledgment comes
-// from the upper half of the same validation word as the sequence.
-func patchSYNACK(r *Renderer, frame []byte, ip uint32, port uint16) {
-	w := r.hasher.Compute(r.srcIP, ip, port)
-	ipid := uint16(packet.ZMapIPID)
-	if r.randomIPID {
-		ipid = uint16(w >> 40)
-	}
-	sport := r.hasher.SourcePort(r.sportBase, r.sportCount, ip, port)
-	packet.PatchTCP(frame, ipid, ip, sport, port, uint32(w), uint32(w>>32))
+// patchSYNACK mirrors SYNACKScan.MakeProbe.
+func patchSYNACK(ctx *Context, frame []byte, ip uint32, port uint16) {
+	w := ctx.word(ip, port)
+	packet.PatchTCP(frame, ctx.ipID(w), ip, ctx.sourcePort(w), port, w.Seq(), w.Ack())
 }
 
-// patchICMP mirrors ICMPEchoScan.MakeProbe; id, seq, and the random
-// IP ID all come from the port-0 validation word.
-func patchICMP(r *Renderer, frame []byte, ip uint32, _ uint16) {
-	w := r.hasher.Compute(r.srcIP, ip, 0)
-	ipid := uint16(packet.ZMapIPID)
-	if r.randomIPID {
-		ipid = uint16(w >> 40)
-	}
-	packet.PatchICMPEcho(frame, ipid, ip, uint16(w>>16), uint16(w))
+// patchICMP mirrors ICMPEchoScan.MakeProbe, which ignores the port.
+func patchICMP(ctx *Context, frame []byte, ip uint32, _ uint16) {
+	w := ctx.word(ip, 0)
+	id, seq := w.ICMPIDSeq()
+	packet.PatchICMPEcho(frame, ctx.ipID(w), ip, id, seq)
 }
 
 // patchUDP mirrors UDPScan.MakeProbe.
-func patchUDP(r *Renderer, frame []byte, ip uint32, port uint16) {
-	ipid := uint16(packet.ZMapIPID)
-	if r.randomIPID {
-		ipid = uint16(r.hasher.Compute(r.srcIP, ip, port) >> 40)
-	}
-	sport := r.hasher.SourcePort(r.sportBase, r.sportCount, ip, port)
-	packet.PatchUDP(frame, ipid, ip, sport, port)
+func patchUDP(ctx *Context, frame []byte, ip uint32, port uint16) {
+	w := ctx.word(ip, port)
+	packet.PatchUDP(frame, ctx.ipID(w), ip, ctx.sourcePort(w), port)
 }
 
 // MakeTemplate implements Templater.

@@ -126,10 +126,10 @@ func TestRenderedProbeValidatorFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ctx.Validator.TCPSeq(ctx.SrcIP, 0x01020304, 443); f.TCP.Seq != want {
+	if want := ctx.word(0x01020304, 443).Seq(); f.TCP.Seq != want {
 		t.Fatalf("rendered seq %#x != validator %#x", f.TCP.Seq, want)
 	}
-	if want := ctx.Validator.SourcePort(ctx.SourcePortBase, ctx.SourcePortCount, 0x01020304, 443); f.TCP.SrcPort != want {
+	if want := ctx.sourcePort(ctx.word(0x01020304, 443)); f.TCP.SrcPort != want {
 		t.Fatalf("rendered sport %d != validator %d", f.TCP.SrcPort, want)
 	}
 }

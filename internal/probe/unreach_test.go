@@ -102,33 +102,83 @@ func TestParseUnreachQuote(t *testing.T) {
 	}
 }
 
-// TestUDPClassifyRejectsNonUDPQuote pins the caller-side protocol check
-// that moved out of the parser: a TCP quote parses fine but must not
-// classify as a UDP port-unreachable.
-func TestUDPClassifyRejectsNonUDPQuote(t *testing.T) {
+// appendUnreach wraps quote in the ICMP destination-unreachable a router
+// at from would mail the scanner.
+func appendUnreach(ctx *Context, from uint32, quote []byte) []byte {
+	buf := packet.AppendEthernet(nil, ctx.GwMAC, ctx.SrcMAC, packet.EtherTypeIPv4)
+	buf = packet.AppendIPv4(buf, packet.IPv4{
+		TTL: 64, Protocol: packet.ProtocolICMP, Src: from, Dst: ctx.SrcIP,
+	}, packet.ICMPHeaderLen+len(quote))
+	return packet.AppendICMPEcho(buf, packet.ICMPDestUnreach, 0, 0, quote)
+}
+
+// unreachFrame is appendUnreach, parsed.
+func unreachFrame(t testing.TB, ctx *Context, from uint32, quote []byte) *packet.Frame {
+	t.Helper()
+	f, err := packet.Parse(appendUnreach(ctx, from, quote))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// probeSourcePort reads the source port the module itself puts in the
+// probe to (ip, port): the only port a genuine quote can carry.
+func probeSourcePort(t testing.TB, m Module, ctx *Context, ip uint32, port uint16) uint16 {
+	t.Helper()
+	f, err := packet.Parse(mustProbe(t, m, nil, ctx, ip, port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.UDP != nil {
+		return f.UDP.SrcPort
+	}
+	return f.TCP.SrcPort
+}
+
+// TestUDPClassifyValidatesUnreachQuote pins the anti-spoof rule on the
+// port-unreach class: any host can mail an ICMP error quoting whatever
+// it likes, so a quote counts only when it is the head of a probe this
+// scan sends — from the scanner's address, from the source port derived
+// for the flow it names. Without the check a forger writes a row for an
+// arbitrary (ip, port).
+func TestUDPClassifyValidatesUnreachQuote(t *testing.T) {
 	ctx := testContext()
 	mod, err := Lookup("udp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(proto byte) *packet.Frame {
-		quote := buildQuote(5, proto, ctx.SrcIP, 0x0A010203, 33333, 443, 8)
-		buf := packet.AppendEthernet(nil, ctx.GwMAC, ctx.SrcMAC, packet.EtherTypeIPv4)
-		buf = packet.AppendIPv4(buf, packet.IPv4{
-			TTL: 64, Protocol: packet.ProtocolICMP, Src: 0x0A010203, Dst: ctx.SrcIP,
-		}, packet.ICMPHeaderLen+len(quote))
-		buf = packet.AppendICMPEcho(buf, packet.ICMPDestUnreach, 0, 0, quote)
-		f, err := packet.Parse(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+	const target, port = uint32(0x0A010203), uint16(443)
+	sport := probeSourcePort(t, mod, ctx, target, port)
+	// A second flow whose derived source port differs, so that replaying
+	// the first flow's port for it is a forgery (the range has 64 slots).
+	other := port + 1
+	for probeSourcePort(t, mod, ctx, target, other) == sport {
+		other++
 	}
-	if _, ok := mod.Classify(ctx, build(packet.ProtocolTCP)); ok {
-		t.Fatal("udp module classified a TCP-quoting unreachable")
+
+	tests := []struct {
+		name  string
+		quote []byte
+		ok    bool
+	}{
+		{"genuine quote", buildQuote(5, packet.ProtocolUDP, ctx.SrcIP, target, sport, port, 8), true},
+		{"genuine quote with ip options", buildQuote(6, packet.ProtocolUDP, ctx.SrcIP, target, sport, port, 8), true},
+		{"quoted source is not the scanner", buildQuote(5, packet.ProtocolUDP, ctx.SrcIP+1, target, sport, port, 8), false},
+		{"source port outside the range", buildQuote(5, packet.ProtocolUDP, ctx.SrcIP, target, 33333, port, 8), false},
+		{"neighbouring source port", buildQuote(5, packet.ProtocolUDP, ctx.SrcIP, target, sport^1, port, 8), false},
+		{"another flow's source port", buildQuote(5, packet.ProtocolUDP, ctx.SrcIP, target, sport, other, 8), false},
+		{"tcp quote", buildQuote(5, packet.ProtocolTCP, ctx.SrcIP, target, sport, port, 8), false},
 	}
-	res, ok := mod.Classify(ctx, build(packet.ProtocolUDP))
-	if !ok || res.Class != "port-unreach" || res.IP != 0x0A010203 || res.Port != 443 {
-		t.Fatalf("udp quote classification = %+v, %v", res, ok)
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			res, ok := mod.Classify(ctx, unreachFrame(t, ctx, 0x0A0000FE, tc.quote))
+			if ok != tc.ok {
+				t.Fatalf("accepted = %v, want %v (result %+v)", ok, tc.ok, res)
+			}
+			if ok && (res.Class != "port-unreach" || res.Success || res.IP != target || res.Port != port) {
+				t.Fatalf("result = %+v, want port-unreach for (%#x, %d)", res, target, port)
+			}
+		})
 	}
 }

@@ -319,6 +319,7 @@ func (s *Scanner) sendWithRetry(frame []byte) bool {
 
 func (s *Scanner) makeProbe(buf []byte, dst [16]byte, port uint16) ([]byte, error) {
 	opts := packet.BuildOptions(s.cfg.Options, uint32(s.cfg.Seed))
+	w := s.validator.Word6(s.cfg.SourceAddr, dst, port)
 	buf = packet.AppendEthernet(buf, packet.MAC{2, 0x5A, 0x36, 0, 0, 1}, packet.MAC{}, packet.EtherTypeIPv6)
 	buf = packet.AppendIPv6(buf, packet.IPv6Header{
 		NextHeader: packet.ProtocolTCP,
@@ -327,9 +328,9 @@ func (s *Scanner) makeProbe(buf []byte, dst [16]byte, port uint16) ([]byte, erro
 		Dst:        dst,
 	}, packet.TCPHeaderLen+len(opts))
 	return packet.AppendTCP6(buf, packet.TCP{
-		SrcPort: 40000 + uint16(s.validator.Compute6(s.cfg.SourceAddr, dst, port)>>48)%256,
+		SrcPort: w.SourcePort(40000, 256),
 		DstPort: port,
-		Seq:     s.validator.TCPSeq6(s.cfg.SourceAddr, dst, port),
+		Seq:     w.Seq(),
 		Flags:   packet.FlagSYN,
 		Window:  65535,
 		Options: opts,
@@ -352,8 +353,7 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}) {
 			}
 			addr, port := f.IP.Src, f.TCP.SrcPort
 			isRST := f.TCP.Flags&packet.FlagRST != 0
-			seq := s.validator.TCPSeq6(cfg.SourceAddr, addr, port)
-			if f.TCP.Ack != seq+1 && !(isRST && f.TCP.Ack == seq) {
+			if !s.validator.Word6(cfg.SourceAddr, addr, port).AckValid(f.TCP.Ack, isRST) {
 				continue // fails stateless validation
 			}
 			res := Result{Addr: netip.AddrFrom16(addr), Port: port}

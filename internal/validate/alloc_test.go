@@ -6,10 +6,10 @@ import (
 )
 
 // The receive path classifies every candidate response with the shared
-// Validator from several workers at once, so Compute must be both
-// concurrency-safe and allocation-free once its MAC pool is warm. This
-// pins the zero-alloc half; TestComputeConcurrent (under -race) covers
-// the other.
+// Validator from several workers at once, and sender threads render
+// with it too, so Word must be both concurrency-safe and allocation-free
+// once its scratch pool is warm. This pins the zero-alloc half;
+// TestComputeConcurrent (under -race) covers the other.
 func TestComputeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are not meaningful")
@@ -19,7 +19,9 @@ func TestComputeZeroAlloc(t *testing.T) {
 	if a := testing.AllocsPerRun(200, func() { benchSink = v.Compute(4, 5, 6) }); a != 0 {
 		t.Errorf("Compute allocates %.2f objects per call, want 0", a)
 	}
-	v.Compute6([16]byte{1}, [16]byte{2}, 443)
+	if a := testing.AllocsPerRun(200, func() { benchSink = uint64(v.Word(4, 5, 6).Seq()) }); a != 0 {
+		t.Errorf("Word allocates %.2f objects per call, want 0", a)
+	}
 	if a := testing.AllocsPerRun(200, func() {
 		benchSink = v.Compute6([16]byte{9}, [16]byte{8}, 443)
 	}); a != 0 {
@@ -28,13 +30,16 @@ func TestComputeZeroAlloc(t *testing.T) {
 }
 
 // Concurrent callers must see the same words a lone caller computes:
-// pooled MAC state must never bleed between flows.
+// a pooled scratch block must never bleed between flows, v4 or v6.
 func TestComputeConcurrent(t *testing.T) {
 	v := New([KeySize]byte{7, 7, 7})
 	const flows = 512
-	want := make([]uint64, flows)
+	addr6 := func(i int) [16]byte { return [16]byte{0x20, 0x01, 14: byte(i >> 8), 15: byte(i)} }
+	want := make([]Word, flows)
+	want6 := make([]uint64, flows)
 	for i := range want {
-		want[i] = v.Compute(uint32(i), uint32(i)*3+1, uint16(i))
+		want[i] = v.Word(uint32(i), uint32(i)*3+1, uint16(i))
+		want6[i] = v.Compute6(addr6(0), addr6(i), uint16(i))
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -44,7 +49,8 @@ func TestComputeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for pass := 0; pass < 50; pass++ {
 				for i := range want {
-					if got := v.Compute(uint32(i), uint32(i)*3+1, uint16(i)); got != want[i] {
+					if v.Word(uint32(i), uint32(i)*3+1, uint16(i)) != want[i] ||
+						v.Compute6(addr6(0), addr6(i), uint16(i)) != want6[i] {
 						select {
 						case errs <- "goroutine observed a different validation word":
 						default:

@@ -9,7 +9,10 @@
 //
 // Each benchmark line becomes an entry with ns/op, derived ops/sec, and
 // any B/op / allocs/op columns. When -baseline names a benchmark, every
-// other entry also reports its speedup relative to it.
+// other entry also reports its speedup relative to it. The report
+// records the GOMAXPROCS the benchmarks ran at, read from the -N suffix
+// go test appends to their names (none means 1): a figure says nothing
+// about scaling without it.
 package main
 
 import (
@@ -37,6 +40,7 @@ type report struct {
 	Goarch   string  `json:"goarch,omitempty"`
 	Pkg      string  `json:"pkg,omitempty"`
 	CPU      string  `json:"cpu,omitempty"`
+	Procs    int     `json:"gomaxprocs"`
 	Baseline string  `json:"baseline,omitempty"`
 	Results  []entry `json:"results"`
 }
@@ -70,6 +74,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: skipping unparseable line: %s\n", line)
 			continue
 		}
+		_, procs := splitCPUSuffix(e.Name)
+		if rep.Procs != 0 && procs != rep.Procs {
+			fmt.Fprintf(os.Stderr, "benchjson: %s ran at GOMAXPROCS=%d, earlier lines at %d; one report holds one setting\n",
+				e.Name, procs, rep.Procs)
+			os.Exit(1)
+		}
+		rep.Procs = procs
 		rep.Results = append(rep.Results, e)
 	}
 	if err := sc.Err(); err != nil {
@@ -143,15 +154,21 @@ func parseBenchLine(line string) (entry, bool) {
 	return e, true
 }
 
-// trimCPUSuffix drops the -GOMAXPROCS suffix go test appends to
-// benchmark names, so baselines match across machines.
-func trimCPUSuffix(name string) string {
+// splitCPUSuffix splits the -GOMAXPROCS suffix go test appends to
+// benchmark names (it appends none at GOMAXPROCS=1) from the name.
+func splitCPUSuffix(name string) (base string, procs int) {
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+			return name[:i], n
 		}
 	}
-	return name
+	return name, 1
+}
+
+// trimCPUSuffix drops that suffix, so baselines match across machines.
+func trimCPUSuffix(name string) string {
+	base, _ := splitCPUSuffix(name)
+	return base
 }
 
 func round2(v float64) float64 {

@@ -36,7 +36,7 @@ go test -race -count=1 -run 'TestScanBatchedFaultyTransport' ./internal/core
 echo "==> sharded receive parity: byte-equal output across worker counts, per-shard dedup resume"
 go test -race -count=1 \
     -run 'TestShardedRecvEquivalence|TestShardedRecvResumeExactlyOnce' ./internal/core
-go test -count=1 -run 'TestShardedRecvZeroAllocs|TestComputeZeroAlloc' \
+go test -count=1 -run 'TestShardedRecvZeroAllocs|TestBatchSendPathZeroAllocs|TestComputeZeroAlloc' \
     ./internal/core ./internal/validate
 
 echo "==> scan health: congestion knee + dark-subnet quarantine scenarios"
@@ -84,5 +84,9 @@ go run ./cmd/zmapgo -r 10.0.0.0/22 -p 80 --seed 5 --sim-lossless \
 go run ./cmd/zanalyze trace -strict "$tracedir/trace.jsonl" > "$tracedir/report.txt"
 grep -q "stage latencies" "$tracedir/report.txt" \
     || { echo "zanalyze trace produced no latency report" >&2; exit 1; }
+
+echo "==> scan benchmark smoke: reflector contract, ledger accept/forge assertions, oracle"
+go run ./bench -workload recv_reflect -seed 2 -seconds 3 -trace 1 > "$tracedir/bench.txt" \
+    || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
 
 echo "OK"
