@@ -229,7 +229,11 @@ func run(args []string) int {
 	if *outFile == "-" {
 		opts.Results = os.Stdout
 	} else {
-		f, err := os.Create(*outFile)
+		// Write-only, unlike os.Create: opened read-write, a pipe or FIFO
+		// (-o /dev/stdout | head) would count this process as a reader,
+		// so a vanished consumer would block the scan instead of failing
+		// the write.
+		f, err := os.OpenFile(*outFile, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zmapgo:", err)
 			return 1

@@ -15,7 +15,6 @@ import (
 
 	"zmapgo/internal/dnswire"
 	"zmapgo/internal/netsim"
-	"zmapgo/internal/target"
 	"zmapgo/internal/zdns"
 	"zmapgo/zmap"
 )
@@ -56,11 +55,7 @@ func main() {
 		if err := dec.Decode(&r); err != nil {
 			log.Fatal(err)
 		}
-		ip, err := target.ParseIPv4(r.Saddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		servers = append(servers, ip)
+		servers = append(servers, r.IP)
 	}
 	fmt.Printf("phase 1: %d probes -> %d DNS responders\n", summary.PacketsSent, len(servers))
 	if len(servers) == 0 {

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"zmapgo/internal/output"
 	"zmapgo/internal/target"
 )
 
@@ -112,24 +112,40 @@ func waitRecvCount(s *Scanner, total uint64) {
 
 // BenchmarkRecvPath measures the sharded receive path end to end:
 // dispatcher fanout, per-worker parse+verify (single pass), stateless
-// validation, per-shard dedup (steady-state repeats), and result
-// buffering with the merge writer draining concurrently. ns/op is
-// per frame; ops/sec is therefore frames per second. Run with
-// -benchmem: the steady state must report 0 allocs/op.
+// validation, per-shard dedup, and result buffering with the merge
+// writer draining concurrently. ns/op is per frame; ops/sec is therefore
+// frames per second. Run with -benchmem: the steady state must report
+// 0 allocs/op.
+//
+// Two shapes. workers=N replays 1024 responders that stay in the dedup
+// window, so after the warm-up every frame is a repeat and no row is
+// written: the floor of the path. fresh cycles through twice as many
+// responders as the window holds, so every frame is a first sighting —
+// a dedup insert and eviction, and a JSON Lines row through the default
+// filter into a discard stream — which is what a scan of distinct hosts
+// pays per answered probe.
 //
 // Note on worker scaling: workers=8 runs only where there are eight
 // CPUs to run them. On fewer the workers serialize, and the row would
 // measure sharding overhead rather than the parallel speedup it reads as.
 func BenchmarkRecvPath(b *testing.B) {
-	counts := []int{1}
-	if runtime.GOMAXPROCS(0) >= 8 {
-		counts = append(counts, 8)
+	type shape struct {
+		name    string
+		workers int
+		frames  int
+		results func() output.Writer
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	counting := func() output.Writer { return &output.CountingWriter{} }
+	shapes := []shape{{"workers=1", 1, 1024, counting}}
+	if runtime.GOMAXPROCS(0) >= 8 {
+		shapes = append(shapes, shape{"workers=8", 8, 1024, counting})
+	}
+	shapes = append(shapes, shape{"fresh", 1, 2 * recvBenchWindow, discardRows})
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
 			tr := newReplayTransport(nil)
-			s := newRecvBenchScanner(b, workers, tr)
-			tr.frames = collectResponseFrames(b, s, 1024)
+			s := newRecvBenchScanner(b, sh.workers, tr, sh.results())
+			tr.frames = collectResponseFrames(b, s, sh.frames)
 
 			stop := make(chan struct{})
 			var cooldownAt atomic.Int64
@@ -139,8 +155,9 @@ func BenchmarkRecvPath(b *testing.B) {
 				s.recvLoop(context.Background(), stop, &cooldownAt)
 			}()
 
-			// Warm up: every distinct frame once (first sightings, saddr
-			// interning), then once more (repeat path, buffers grown).
+			// Warm up: every distinct frame once (first sightings fill
+			// the window), then once more (repeats, or evictions for the
+			// fresh shape; buffers grown).
 			warm := 2 * len(tr.frames)
 			tr.feed(warm)
 			waitRecvCount(s, uint64(warm))
@@ -161,6 +178,9 @@ func BenchmarkRecvPath(b *testing.B) {
 			b.StopTimer()
 			close(stop)
 			<-recvDone
+			if rows := output.Written(s.cfg.Results); sh.name == "fresh" && rows != uint64(warm+fed) {
+				b.Fatalf("%d rows written for %d first sightings", rows, warm+fed)
+			}
 		})
 	}
 }

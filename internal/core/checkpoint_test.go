@@ -138,7 +138,7 @@ func TestCheckpointResumeExactlyOnce(t *testing.T) {
 	seen := map[string]int{}
 	for _, r := range append(sink1.all(), sink2.all()...) {
 		if r.Success && !r.Repeat {
-			seen[r.Saddr]++
+			seen[r.Saddr()]++
 		}
 	}
 	for addr, n := range seen {

@@ -50,7 +50,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.1.0"
+const Version = "1.2.0"
 
 // Transport is the wire the scanner sends probes into and receives
 // responses from. netsim.Link implements it for the simulated Internet; a
@@ -455,6 +455,7 @@ type Scanner struct {
 	// its shards, started by recvLoop.
 	health         *health.Controller
 	resultsMu      sync.Mutex
+	resultsFailed  bool // a result write has failed and been logged; under resultsMu
 	recvPipe       *recvPipeline
 	cooldownActual time.Duration // set by the Run goroutine after cooldown
 
@@ -485,6 +486,7 @@ type Scanner struct {
 	rlWait      *metrics.Histogram // time blocked in the rate limiter
 	dedupHits   *metrics.Counter
 	dedupMisses *metrics.Counter
+	rowsLost    *metrics.Counter // result rows the Results stream refused
 
 	// Lifecycle phases (generation, send, cooldown, drain, done):
 	// appended by the Run goroutine, summarized into Metadata.Phases.
@@ -731,6 +733,8 @@ func (s *Scanner) initMetrics(validator *validate.Validator) {
 		"Validated responses identified as duplicates by the dedup window.")
 	s.dedupMisses = reg.Counter("zmapgo_dedup_misses_total",
 		"Validated responses seen for the first time.")
+	s.rowsLost = reg.Counter("zmapgo_results_rows_lost_total",
+		"Result rows dropped because the Results stream refused them.")
 	validator.Instrument(reg.Counter("zmapgo_validate_computes_total",
 		"Validation words (one AES-128 block each) computed: one per probe built, one per response classified."))
 
@@ -1083,6 +1087,9 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 	if err := cfg.Results.Close(); err != nil {
 		return meta, fmt.Errorf("core: closing results: %w", err)
 	}
+	if n := s.rowsLost.Value(); n > 0 {
+		log.Error("result rows lost to write failures", "rows", n)
+	}
 	log.Info("scan complete",
 		"sent", meta.PacketsSent, "received", meta.PacketsRecv,
 		"successes", meta.UniqueSucc, "hitrate", meta.HitRate)
@@ -1139,16 +1146,12 @@ func (s *Scanner) runCooldown(ctx context.Context) time.Duration {
 // checkpoint interval.
 func (s *Scanner) writeCheckpoint(final bool) {
 	s.resultsMu.Lock()
-	// Push the workers' buffered results into the stream first, so the
-	// flush covers everything classified before this point and the
-	// counted floor includes it.
+	// Push the workers' buffered results into the stream (the drain ends
+	// in a flush), so the counted floor includes everything classified
+	// before this point.
 	s.drainResultsLocked()
-	ferr := output.Flush(s.cfg.Results)
 	n := output.Written(s.cfg.Results)
 	s.resultsMu.Unlock()
-	if ferr != nil {
-		s.cfg.Logger.Error("result flush before checkpoint failed", "err", ferr)
-	}
 	snap := s.snapshot(final)
 	snap.ResultsWritten = n
 	if err := checkpoint.Save(s.cfg.CheckpointPath, snap); err != nil {

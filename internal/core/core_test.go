@@ -102,10 +102,10 @@ func TestScanFindsExactlyTheOpenServices(t *testing.T) {
 	for _, r := range sink.all() {
 		if r.Success && !r.Repeat {
 			successes = append(successes, r)
-			if seen[r.Saddr] {
-				t.Errorf("duplicate success for %s not marked repeat", r.Saddr)
+			if seen[r.Saddr()] {
+				t.Errorf("duplicate success for %s not marked repeat", r.Saddr())
 			}
-			seen[r.Saddr] = true
+			seen[r.Saddr()] = true
 		}
 	}
 	if len(successes) != want {
@@ -120,12 +120,8 @@ func TestScanFindsExactlyTheOpenServices(t *testing.T) {
 	// Every reported success is a real service or middlebox.
 	opts := packet.BuildOptions(packet.LayoutMSS, 0)
 	for _, r := range successes {
-		ip, err := target.ParseIPv4(r.Saddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !in.ExpectedSYNACK(ip, 80, opts) {
-			t.Errorf("false positive: %s", r.Saddr)
+		if !in.ExpectedSYNACK(r.IP, 80, opts) {
+			t.Errorf("false positive: %s", r.Saddr())
 		}
 	}
 }
@@ -182,7 +178,7 @@ func TestScanDeterministicAcrossRuns(t *testing.T) {
 		var addrs []string
 		for _, r := range sink.all() {
 			if r.Success {
-				addrs = append(addrs, r.Saddr)
+				addrs = append(addrs, r.Saddr())
 			}
 		}
 		return addrs
@@ -232,7 +228,7 @@ func TestShardsPartitionScan(t *testing.T) {
 	seen := map[string]int{}
 	for _, r := range all {
 		if r.Success && !r.Repeat {
-			seen[r.Saddr]++
+			seen[r.Saddr()]++
 		}
 	}
 	for addr, n := range seen {
@@ -268,7 +264,7 @@ func TestInterleavedShardModeAlsoPartitions(t *testing.T) {
 		totalSent += meta.PacketsSent
 		for _, r := range sink.all() {
 			if r.Success && !r.Repeat {
-				seen[r.Saddr]++
+				seen[r.Saddr()]++
 			}
 		}
 		link.Close()
@@ -708,7 +704,7 @@ func TestResumeCoversExactlyOnce(t *testing.T) {
 	seen := map[string]int{}
 	for _, r := range append(sink1.all(), sink2.all()...) {
 		if r.Success && !r.Repeat {
-			seen[r.Saddr]++
+			seen[r.Saddr()]++
 		}
 	}
 	for addr, n := range seen {
@@ -774,7 +770,7 @@ func TestScanGroundTruthProperty(t *testing.T) {
 		uniq := map[string]bool{}
 		for _, r := range sink.all() {
 			if r.Success && !r.Repeat {
-				uniq[r.Saddr] = true
+				uniq[r.Saddr()] = true
 			}
 		}
 		if len(uniq) != want {

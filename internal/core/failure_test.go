@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"strings"
 	"sync"
@@ -64,8 +65,68 @@ func TestScanSurvivesResultWriteFailures(t *testing.T) {
 	if failures == 0 {
 		t.Fatal("writer never failed; test is vacuous")
 	}
-	if !strings.Contains(logBuf.String(), "result write failed") {
-		t.Error("write failures not logged")
+	// No row vanishes without a counter: every row offered was either
+	// accepted by the writer or counted as lost.
+	fw.mu.Lock()
+	offered, refused := uint64(fw.writes), uint64(fw.failures)
+	fw.mu.Unlock()
+	if written, lost := offered-refused, s.rowsLost.Value(); written+lost != offered {
+		t.Errorf("%d rows written + %d lost != %d rows offered", written, lost, offered)
+	}
+	// A dead sink fails every row for the rest of the scan: one log line
+	// for the first failure and one total, not one per row.
+	logs := logBuf.String()
+	if n := strings.Count(logs, "result write failed"); n != 1 {
+		t.Errorf("write failure logged %d times, want once", n)
+	}
+	if !strings.Contains(logs, "result rows lost") || !strings.Contains(logs, fmt.Sprintf("rows=%d", refused)) {
+		t.Errorf("no end-of-scan total of %d lost rows in the log:\n%s", refused, logs)
+	}
+}
+
+// closedPipe accepts n stream writes, then refuses the rest, as stdout
+// does once `zmapgo | head` has read enough.
+type closedPipe struct {
+	okLeft int
+	bytes.Buffer
+}
+
+func (p *closedPipe) Write(b []byte) (int, error) {
+	if p.okLeft == 0 {
+		return 0, errors.New("write |1: broken pipe")
+	}
+	p.okLeft--
+	return p.Buffer.Write(b)
+}
+
+func TestRowsLostToADeadStreamAreCounted(t *testing.T) {
+	in, cfg, _ := testbed(t, 200, "80")
+	pipe := &closedPipe{okLeft: 2}
+	cfg.Results = &output.Filtered{
+		W:      output.NewTextWriter(pipe, false),
+		Filter: output.MustCompileFilter(output.DefaultFilterExpr),
+	}
+	link := netsim.NewLink(in, 1<<16, 0)
+	defer link.Close()
+	s, err := New(cfg, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Run(context.Background())
+	if err != nil {
+		t.Fatalf("scan failed outright: %v", err)
+	}
+	written, lost := output.Written(cfg.Results), s.rowsLost.Value()
+	if lost == 0 {
+		t.Fatal("stream never refused a write; test is vacuous")
+	}
+	// The default filter passes exactly the unique successes, so those
+	// are the rows offered to the stream.
+	if written+lost != meta.UniqueSucc {
+		t.Errorf("%d rows written + %d lost != %d rows offered", written, lost, meta.UniqueSucc)
+	}
+	if lines := uint64(strings.Count(pipe.String(), "\n")); lines != written {
+		t.Errorf("RecordsWritten = %d but the stream holds %d rows", written, lines)
 	}
 }
 
@@ -168,7 +229,7 @@ func uniqueSuccessSet(recs []output.Record) map[string]bool {
 	set := map[string]bool{}
 	for _, r := range recs {
 		if r.Success && !r.Repeat {
-			set[r.Saddr] = true
+			set[r.Saddr()] = true
 		}
 	}
 	return set

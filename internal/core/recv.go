@@ -24,7 +24,6 @@ import (
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/probe"
-	"zmapgo/internal/target"
 	"zmapgo/internal/trace"
 )
 
@@ -37,13 +36,6 @@ const (
 	// pool blocks the dispatcher on that worker's free list —
 	// backpressure toward the transport ring — instead of allocating.
 	recvFreeBatches = 4
-
-	// maxInternedSaddrs bounds the merge writer's ip→string cache. A
-	// full Internet scan sees more distinct responders than any sane
-	// cache holds, so overflow clears and rebuilds rather than growing
-	// without bound; steady-state benchmarks (bounded responder sets)
-	// never overflow, which is what the zero-alloc claim is stated over.
-	maxInternedSaddrs = 1 << 17
 )
 
 // ceilPow2 rounds n up to a power of two (minimum 1).
@@ -130,11 +122,6 @@ type recvPipeline struct {
 	wg        sync.WaitGroup
 	mergeStop chan struct{}
 	mergeDone chan struct{}
-
-	// saddrs interns formatted source addresses; owned by whichever
-	// goroutine drains results (the merge writer, or a checkpointer
-	// under resultsMu), which is serialized by resultsMu.
-	saddrs map[uint32]string
 }
 
 // newRecvPipeline builds the worker set. windows carries the per-worker
@@ -146,7 +133,6 @@ func newRecvPipeline(s *Scanner, windows []*dedup.Window) *recvPipeline {
 		s:      s,
 		mask:   uint32(n - 1),
 		notify: make(chan struct{}, 1),
-		saddrs: make(map[uint32]string),
 	}
 	p.workers = make([]*recvWorker, n)
 	for i := range p.workers {
@@ -436,10 +422,11 @@ func (s *Scanner) drainResults() {
 }
 
 // drainResultsLocked writes every buffered result to the Results stream
-// in worker order. The caller holds resultsMu — the merge writer for
-// ordinary drains, the checkpoint writer before its flush-then-count,
-// which is how the snapshot's ResultsWritten stays a floor on what the
-// stream durably holds.
+// in worker order, then flushes, so the rows of one drain reach the
+// stream in one Write. The caller holds resultsMu — the merge writer for
+// ordinary drains, the checkpoint writer before it reads the written
+// count, which is how the snapshot's ResultsWritten stays a floor on
+// what the stream durably holds.
 func (s *Scanner) drainResultsLocked() {
 	p := s.recvPipe
 	if p == nil {
@@ -450,14 +437,10 @@ func (s *Scanner) drainResultsLocked() {
 		batch := w.pending
 		w.pending = w.drained[:0]
 		w.mu.Unlock()
-		if len(batch) == 0 {
-			w.drained = batch
-			continue
-		}
 		for i := range batch {
 			r := &batch[i]
 			rec := output.Record{
-				Saddr:          p.saddr(r.ip),
+				IP:             r.ip,
 				Sport:          r.port,
 				Classification: r.class,
 				Success:        r.success,
@@ -467,25 +450,32 @@ func (s *Scanner) drainResultsLocked() {
 				Timestamp:      r.elapsed.Seconds(),
 			}
 			if err := s.cfg.Results.Write(rec); err != nil {
-				s.cfg.Logger.Error("result write failed", "err", err)
+				s.noteRowsLost(err, 1)
 			}
 		}
 		w.drained = batch[:0]
 	}
+	if err := output.Flush(s.cfg.Results); err != nil {
+		s.noteRowsLost(err, 0)
+	}
 }
 
-// saddr interns the dotted-quad form of ip so repeated responders cost
-// one formatting allocation total, not one per record.
-func (p *recvPipeline) saddr(ip uint32) string {
-	if s, ok := p.saddrs[ip]; ok {
-		return s
+// noteRowsLost accounts for a failed result Write or Flush. Results are
+// a best-effort stream (§5): the scan carries on, every lost row is
+// counted, and only the first failure is logged — a dead sink
+// (`zmapgo | head`) fails every drain for the rest of the scan. rows is
+// what the failure cost when the writer does not say; the built-in
+// writers say, through output.LostError. The caller holds resultsMu.
+func (s *Scanner) noteRowsLost(err error, rows uint64) {
+	var lost *output.LostError
+	if errors.As(err, &lost) {
+		rows = lost.Rows
 	}
-	if len(p.saddrs) >= maxInternedSaddrs {
-		clear(p.saddrs)
+	if !s.resultsFailed {
+		s.resultsFailed = true
+		s.cfg.Logger.Error("result write failed; further failures are counted, not logged", "err", err)
 	}
-	str := target.FormatIPv4(ip)
-	p.saddrs[ip] = str
-	return str
+	s.rowsLost.Add(rows)
 }
 
 // dedupSnapshot merges the per-worker dedup shards into one checkpoint

@@ -7,7 +7,6 @@ import (
 
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/packet"
-	"zmapgo/internal/target"
 )
 
 // TestScanSurvivesAggressiveRecvFaults drives the full receive-fault
@@ -50,12 +49,8 @@ func TestScanSurvivesAggressiveRecvFaults(t *testing.T) {
 		if !r.Success || r.Repeat {
 			continue
 		}
-		ip, err := target.ParseIPv4(r.Saddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !in.ExpectedSYNACK(ip, 80, opts) {
-			t.Errorf("false positive under receive faults: %s", r.Saddr)
+		if !in.ExpectedSYNACK(r.IP, 80, opts) {
+			t.Errorf("false positive under receive faults: %s", r.Saddr())
 		}
 	}
 
@@ -92,10 +87,10 @@ func TestScanSurvivesAggressiveRecvFaults(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range sink.all() {
 		if r.Success && !r.Repeat {
-			if seen[r.Saddr] {
-				t.Errorf("%s reported as a new success twice", r.Saddr)
+			if seen[r.Saddr()] {
+				t.Errorf("%s reported as a new success twice", r.Saddr())
 			}
-			seen[r.Saddr] = true
+			seen[r.Saddr()] = true
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"zmapgo/internal/checkpoint"
+	"zmapgo/internal/dedup"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
@@ -213,7 +215,7 @@ func TestShardedRecvResumeExactlyOnce(t *testing.T) {
 	seen := map[string]int{}
 	for _, r := range append(sink1.all(), sink2.all()...) {
 		if r.Success && !r.Repeat {
-			seen[r.Saddr]++
+			seen[r.Saddr()]++
 		}
 	}
 	for addr, n := range seen {
@@ -228,54 +230,43 @@ func TestShardedRecvResumeExactlyOnce(t *testing.T) {
 }
 
 // collectResponseFrames harvests n structurally valid, correctly
-// checksummed response frames that s's validator will accept, by probing
-// a private lossless simulator with s's own probe context and capturing
-// what comes back. The frames answer distinct targets, so they exercise
-// the dedup first-sighting path once each and the repeat path forever
-// after.
+// checksummed response frames that s's validator will accept, by showing
+// s's own probes to a private lossless simulator in which a middlebox
+// SYN-ACKs every address. Each frame answers a distinct target, so it
+// exercises the dedup first-sighting path the first time it is replayed
+// and, while it stays in the window, the repeat path after that.
 func collectResponseFrames(t testing.TB, s *Scanner, n int) [][]byte {
 	simCfg := netsim.DefaultConfig(77)
 	simCfg.ProbeLoss, simCfg.ResponseLoss, simCfg.PathBadFraction = 0, 0, 0
 	simCfg.BlowbackFraction = 0
-	// Responses are harvested one probe at a time, so leave no simulated
-	// round-trip time: at the default 20-300ms per host, collecting a
-	// thousand frames would take minutes of wall clock.
-	simCfg.RTTMin, simCfg.RTTMax = 0, 0
+	simCfg.MiddleboxFraction = 1
 	in := netsim.New(simCfg)
-	link := netsim.NewLink(in, 1<<16, 0)
-	defer link.Close()
-	opts := packet.BuildOptions(s.cfg.OptionLayout, 0)
 	frames := make([][]byte, 0, n)
-	buf := make([]byte, 0, 128)
-	var err error
+	var probe []byte
 	for ip := uint32(0x0A000000); len(frames) < n; ip++ {
-		if ip >= 0x0A000000+1<<20 {
-			t.Fatalf("exhausted address range with only %d of %d responses", len(frames), n)
-		}
-		if !in.ExpectedSYNACK(ip, 80, opts) {
-			continue
-		}
-		buf, err = s.module.MakeProbe(buf[:0], s.probeCtx, ip, 80)
-		if err != nil {
+		var err error
+		if probe, err = s.module.MakeProbe(probe[:0], s.probeCtx, ip, 80); err != nil {
 			t.Fatal(err)
 		}
-		if err := link.Send(buf); err != nil {
-			t.Fatal(err)
+		resp := in.Respond(probe)
+		if len(resp) != 1 {
+			t.Fatalf("%d responses for target %x, want 1", len(resp), ip)
 		}
-		select {
-		case f := <-link.Recv():
-			frames = append(frames, append([]byte(nil), f...))
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no response for expected SYN-ACK target %x", ip)
-		}
+		frames = append(frames, resp[0].Frame)
 	}
 	return frames
 }
 
+// discardRows is the Results stack Compile builds — default filter over
+// a JSON Lines writer — into a stream that drops the bytes.
+func discardRows() output.Writer {
+	return &output.Filtered{W: output.NewJSONLWriter(io.Discard), Filter: output.MustCompileFilter(output.DefaultFilterExpr)}
+}
+
 // newRecvBenchScanner builds a scanner suitable for driving recvLoop
-// directly (no Run): single sender config, sharded receive workers, a
-// counting sink, and a modest dedup window so construction stays cheap.
-func newRecvBenchScanner(t testing.TB, workers int, tr Transport) *Scanner {
+// directly (no Run): single sender config, sharded receive workers, and
+// a modest dedup window so construction stays cheap.
+func newRecvBenchScanner(t testing.TB, workers int, tr Transport, results output.Writer) *Scanner {
 	cons := newBenchConstraint()
 	ps, err := parseBenchPorts()
 	if err != nil {
@@ -287,13 +278,13 @@ func newRecvBenchScanner(t testing.TB, workers int, tr Transport) *Scanner {
 		Seed:         7,
 		Threads:      1,
 		RecvWorkers:  workers,
-		DedupWindow:  1 << 16,
+		DedupWindow:  recvBenchWindow,
 		SourceIP:     0xC0A80002,
 		SourceMAC:    packet.MAC{2, 0, 0, 0, 0, 1},
 		GatewayMAC:   packet.MAC{2, 0, 0, 0, 0, 2},
 		OptionLayout: packet.LayoutMSS,
 		RandomIPID:   true,
-		Results:      &output.CountingWriter{},
+		Results:      results,
 	}
 	s, err := New(cfg, tr)
 	if err != nil {
@@ -303,31 +294,83 @@ func newRecvBenchScanner(t testing.TB, workers int, tr Transport) *Scanner {
 	return s
 }
 
-// TestShardedRecvZeroAllocs pins the perf acceptance bar: once caches
-// are warm (dedup window populated, saddr strings interned, result
-// buffers grown), handling a frame end to end — parse+verify, classify,
-// dedup, result buffering — plus the merge-writer drain allocates
-// nothing.
+const recvBenchWindow = 1 << 16
+
+// TestShardedRecvZeroAllocs pins the perf acceptance bar: once buffers
+// have grown to their working size, handling a frame end to end —
+// parse+verify, classify, dedup, result buffering — plus the
+// merge-writer drain that encodes and flushes its row allocates nothing.
+// Every frame comes from a responder never seen before, so each one is a
+// dedup insert and a written row: the claim holds for a scan of distinct
+// hosts, not only for a replayed set.
 func TestShardedRecvZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool items; alloc counts are not meaningful")
 	}
-	tr := newReplayTransport(nil)
-	s := newRecvBenchScanner(t, 1, tr)
-	frames := collectResponseFrames(t, s, 64)
+	const batch, runs = 64, 100
+	s := newRecvBenchScanner(t, 1, newReplayTransport(nil), discardRows())
+	frames := collectResponseFrames(t, s, batch*(runs+3)) // 2 warm-ups + AllocsPerRun's own
 	w := s.recvPipe.workers[0]
 	var cooldownAt atomic.Int64
-	handleAll := func() {
+	handleNext := func() {
 		t0 := time.Now()
-		for _, f := range frames {
+		for _, f := range frames[:batch] {
 			s.handleFrame(w, f, t0, &cooldownAt)
 		}
+		frames = frames[batch:]
 		s.drainResults()
 	}
-	handleAll() // warm: first sightings, saddr interning, slice growth
-	handleAll() // warm: repeat path
-	if allocs := testing.AllocsPerRun(100, handleAll); allocs != 0 {
-		t.Fatalf("sharded receive path allocates %.2f objects per %d-frame batch, want 0",
-			allocs, len(frames))
+	handleNext() // warm: result buffers and the row buffer grow
+	handleNext()
+	if allocs := testing.AllocsPerRun(runs, handleNext); allocs != 0 {
+		t.Fatalf("sharded receive path allocates %.2f objects per %d-frame batch, want 0", allocs, batch)
+	}
+	if got, want := output.Written(s.cfg.Results), uint64(batch*(runs+3)); got != want {
+		t.Fatalf("%d rows written for %d first sightings", got, want)
+	}
+}
+
+// TestRestoreDedupShardsAcrossWorkerCounts: keys captured from one
+// worker layout (worker order, oldest first within each shard — the
+// checkpoint's form) replay into any other layout with every key landing
+// on the shard that will see its flow, none lost and none invented.
+func TestRestoreDedupShardsAcrossWorkerCounts(t *testing.T) {
+	shards := func(n, each int) []*dedup.Window {
+		ws := make([]*dedup.Window, n)
+		for i := range ws {
+			ws[i] = dedup.NewWindow(each)
+		}
+		return ws
+	}
+	const keys = 5000
+	for _, from := range []int{1, 2, 8} {
+		src := shards(from, keys)
+		for i := uint32(0); i < keys; i++ {
+			ip, port := i*2654435761, uint16(i%3)
+			if src[dedup.ShardOf(ip, port, uint32(from-1))].Seen(ip, port) {
+				t.Fatalf("key %d seen twice", i)
+			}
+		}
+		var snapshot []uint64
+		for _, w := range src {
+			snapshot = append(snapshot, w.Keys()...)
+		}
+		for _, to := range []int{1, 4, 16} {
+			dst := shards(to, keys)
+			restoreDedupShards(dst, snapshot)
+			total := 0
+			for _, w := range dst {
+				total += w.Len()
+			}
+			if total != keys {
+				t.Fatalf("%d -> %d workers: %d keys restored, want %d", from, to, total, keys)
+			}
+			for _, k := range snapshot {
+				ip, port := uint32(k>>16), uint16(k)
+				if !dst[dedup.ShardOf(ip, port, uint32(to-1))].Seen(ip, port) {
+					t.Fatalf("%d -> %d workers: key %#x is not on the shard its flow hashes to", from, to, k)
+				}
+			}
+		}
 	}
 }

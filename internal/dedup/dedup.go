@@ -24,6 +24,12 @@
 // needs no mutex.
 package dedup
 
+import (
+	"math/bits"
+
+	"zmapgo/internal/hashx"
+)
+
 // Deduper records (IP, port) response keys and reports repeats.
 type Deduper interface {
 	// Seen records the key and reports whether it was already present.
@@ -86,14 +92,25 @@ func (b *Bitmap) MemoryBytes() uint64 {
 func FullBitmapBytes(bits uint) uint64 { return (uint64(1) << bits) / 8 }
 
 // Window is the modern sliding-window deduplicator over 48-bit (IP, port)
-// keys: a hash membership index (the Judy-array equivalent) plus a ring
-// buffer that evicts the oldest key once the window is full.
+// keys: a flat open-addressed membership table (the Judy-array
+// equivalent) plus a ring buffer that evicts the oldest key once the
+// window is full.
+//
+// The table holds key+1 so the zero word means empty and key
+// (0.0.0.0, 0) stays representable. It is at most half full, probed
+// linearly from the top bits of hashx.Mix64 — ShardOf spends the low
+// bits choosing the worker, so within one shard those are constant —
+// and deletion shifts the rest of the probe run back over the hole, so
+// there are no tombstones and a probe never outlives the run it started
+// in. Both slices come from one make each and are written only where a
+// key lands, so resident memory follows occupancy, not capacity.
 type Window struct {
 	size  int
 	ring  []uint64 // keys in insertion order
 	head  int      // next slot to overwrite
 	used  int
-	index map[uint64]struct{}
+	table []uint64 // key+1, 0 = empty; len is a power of two >= 2*size
+	shift uint     // 64 - log2(len(table))
 }
 
 // NewWindow returns a sliding-window deduplicator remembering the last
@@ -102,51 +119,83 @@ func NewWindow(size int) *Window {
 	if size <= 0 {
 		panic("dedup: window size must be positive")
 	}
+	slots := bits.Len(uint(2*size - 1)) // log2 of the power of two >= 2*size
 	return &Window{
 		size:  size,
 		ring:  make([]uint64, size),
-		index: make(map[uint64]struct{}, size),
+		table: make([]uint64, 1<<slots),
+		shift: uint(64 - slots),
 	}
 }
 
 func key(ip uint32, port uint16) uint64 { return uint64(ip)<<16 | uint64(port) }
 
-// mix64 is the splitmix64 finalizer: a full-avalanche 64-bit mixer, so
-// adjacent (IP, port) keys — scans walk dense ranges — spread uniformly
-// across shards instead of striping.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ShardOf maps a response flow to its owning shard: mix64 over the same
+// ShardOf maps a response flow to its owning shard: hashx.Mix64 over the same
 // packed 48-bit key Window stores, masked to the shard count (mask must
 // be 2^n - 1). The mapping depends only on the key, never on shard
 // count history, so checkpointed keys re-partition cleanly when a scan
 // resumes with a different number of receive workers.
 func ShardOf(ip uint32, port uint16, mask uint32) uint32 {
-	return uint32(mix64(key(ip, port))) & mask
+	return uint32(hashx.Mix64(key(ip, port))) & mask
 }
 
 // Seen implements Deduper over the 48-bit key space.
 func (w *Window) Seen(ip uint32, port uint16) bool {
 	k := key(ip, port)
-	if _, dup := w.index[k]; dup {
-		return true
+	mask := uint64(len(w.table) - 1)
+	for i := w.home(k); ; i = (i + 1) & mask {
+		switch w.table[i] {
+		case k + 1:
+			return true
+		case 0:
+			w.insert(k)
+			return false
+		}
 	}
+}
+
+// home is the slot k's probe run starts at.
+func (w *Window) home(k uint64) uint64 { return hashx.Mix64(k) >> w.shift }
+
+// insert records a key known to be absent, evicting the oldest first
+// when the window is full. The eviction can open a hole earlier in k's
+// probe run than the empty slot the lookup stopped at, so the slot is
+// probed for afresh afterwards.
+func (w *Window) insert(k uint64) {
 	if w.used == w.size {
-		delete(w.index, w.ring[w.head])
+		w.remove(w.ring[w.head])
 	} else {
 		w.used++
 	}
 	w.ring[w.head] = k
-	w.head = (w.head + 1) % w.size
-	w.index[k] = struct{}{}
-	return false
+	if w.head++; w.head == w.size {
+		w.head = 0
+	}
+	mask := uint64(len(w.table) - 1)
+	i := w.home(k)
+	for w.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	w.table[i] = k + 1
+}
+
+// remove deletes a key known to be present by backward shift: every
+// later entry of the same probe run that may legally sit in the hole —
+// its home is not strictly between the hole and itself — moves into it,
+// and the hole moves to where that entry was, until the run ends.
+func (w *Window) remove(k uint64) {
+	mask := uint64(len(w.table) - 1)
+	hole := w.home(k)
+	for w.table[hole] != k+1 {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; w.table[j] != 0; j = (j + 1) & mask {
+		if (j-w.home(w.table[j]-1))&mask >= (j-hole)&mask {
+			w.table[hole] = w.table[j]
+			hole = j
+		}
+	}
+	w.table[hole] = 0
 }
 
 // Len implements Deduper.
@@ -179,12 +228,10 @@ func (w *Window) Restore(keys []uint64) {
 	}
 }
 
-// MemoryBytes implements Deduper: the ring plus an estimate of the hash
-// index (Go maps cost roughly 48 bytes per uint64 key entry including
-// bucket overhead at typical load factors).
+// MemoryBytes implements Deduper: the ring plus the table, exactly. It is
+// the reserved size; pages no key has landed on are not resident.
 func (w *Window) MemoryBytes() uint64 {
-	const perEntry = 48
-	return uint64(len(w.ring))*8 + uint64(len(w.index))*perEntry
+	return uint64(len(w.ring)+len(w.table)) * 8
 }
 
 // KeyedWindow is the sliding-window deduplicator generalized over any

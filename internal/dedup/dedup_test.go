@@ -196,8 +196,8 @@ func TestWindowIndexReclamation(t *testing.T) {
 	if w.MemoryBytes() != memAtFull {
 		t.Errorf("memory grew from %d to %d across eviction churn", memAtFull, w.MemoryBytes())
 	}
-	if len(w.index) != 10 {
-		t.Errorf("index holds %d keys, want 10", len(w.index))
+	if n := occupied(w); n != 10 {
+		t.Errorf("table holds %d keys, want 10", n)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"zmapgo/internal/hashx"
 )
 
 // FaultKind is one class of injected worker failure.
@@ -131,15 +133,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) {
 	return &plan, nil
 }
 
-// splitmix64 is the seed expander used across the repo for deterministic
-// derived streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // RandomFaultPlan derives a deterministic chaos schedule from a seed:
 // count faults spread uniformly over the window, each hitting a random
 // shard with a random kind (slow pauses bounded by maxSlow). The same
@@ -149,9 +142,9 @@ func RandomFaultPlan(seed uint64, workers, count int, window, maxSlow time.Durat
 	if workers <= 0 || count <= 0 || window <= 0 {
 		return plan
 	}
-	state := splitmix64(seed)
+	state := hashx.SplitMix64(seed)
 	next := func() uint64 {
-		state = splitmix64(state)
+		state = hashx.SplitMix64(state)
 		return state
 	}
 	for i := 0; i < count; i++ {

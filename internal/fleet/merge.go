@@ -2,13 +2,13 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"zmapgo/internal/output"
@@ -39,13 +39,12 @@ type mergeKey struct {
 	port uint16
 }
 
-// mergeRow is one surviving row with its sort identity.
+// mergeRow is one surviving row with its sort identity. The merge only
+// ever needs a row's key: every run file was written by the engine's one
+// row encoder, so a surviving line is emitted exactly as it was read.
 type mergeRow struct {
-	key mergeKey
-	// text is the row's serialized form (text line or csv fields).
-	text   string
-	fields []string
-	rec    output.Record
+	key  mergeKey
+	line string
 }
 
 // RunFiles lists every per-epoch output file of every shard under the
@@ -110,36 +109,15 @@ func MergeOutputs(format string, files []string, w io.Writer) (MergeStats, error
 	})
 	stats.UniqueRows = len(rows)
 
-	switch format {
-	case "csv":
-		cw := csv.NewWriter(w)
-		if err := cw.Write(output.CSVHeader()); err != nil {
-			return stats, err
-		}
-		for _, r := range rows {
-			if err := cw.Write(r.fields); err != nil {
-				return stats, err
-			}
-		}
-		cw.Flush()
-		return stats, cw.Error()
-	case "jsonl", "json":
-		enc := json.NewEncoder(w)
-		for _, r := range rows {
-			if err := enc.Encode(r.rec); err != nil {
-				return stats, err
-			}
-		}
-		return stats, nil
-	default:
-		bw := bufio.NewWriter(w)
-		for _, r := range rows {
-			if _, err := fmt.Fprintln(bw, r.text); err != nil {
-				return stats, err
-			}
-		}
-		return stats, bw.Flush()
+	bw := bufio.NewWriter(w)
+	if format == "csv" {
+		bw.WriteString(output.CSVHeader + "\n")
 	}
+	for _, r := range rows {
+		bw.WriteString(r.line)
+		bw.WriteByte('\n')
+	}
+	return stats, bw.Flush() // the first write error, if any, sticks
 }
 
 // mergeFile reads one run file line by line. A parse failure on the
@@ -183,6 +161,15 @@ func mergeFile(path string, parse func(line string) (mergeRow, bool, error), kee
 	return 0, nil
 }
 
+// parsePort reads a decimal port.
+func parsePort(s string) (uint16, error) {
+	p, err := strconv.ParseUint(s, 10, 16)
+	if err != nil {
+		return 0, fmt.Errorf("bad port %q", s)
+	}
+	return uint16(p), nil
+}
+
 // parseTextRow reads a text-format row: "a.b.c.d" or "a.b.c.d:port".
 func parseTextRow(line string) (mergeRow, bool, error) {
 	addr, portStr, hasPort := strings.Cut(line, ":")
@@ -192,50 +179,50 @@ func parseTextRow(line string) (mergeRow, bool, error) {
 	}
 	var port uint16
 	if hasPort {
-		var p int
-		if _, err := fmt.Sscanf(portStr, "%d", &p); err != nil || p < 0 || p > 0xFFFF {
-			return mergeRow{}, false, fmt.Errorf("bad port %q", portStr)
+		if port, err = parsePort(portStr); err != nil {
+			return mergeRow{}, false, err
 		}
-		port = uint16(p)
 	}
-	return mergeRow{key: mergeKey{ip: ip, port: port}, text: line}, false, nil
+	return mergeRow{key: mergeKey{ip: ip, port: port}, line: line}, false, nil
 }
 
-// parseCSVRow reads one schema row; per-file header rows are skipped.
-// Rows are parsed line-wise (the schema has no quoted newlines), which
-// is what lets a torn tail be detected per line.
+// parseCSVRow reads one schema row's key; per-file header rows are
+// skipped. Rows are read line-wise (the schema has no quoted newlines),
+// which is what lets a torn tail be detected per line: saddr and sport
+// lead the row unquoted, and a complete row has all its separators.
 func parseCSVRow(line string) (mergeRow, bool, error) {
-	header := output.CSVHeader()
-	if strings.HasPrefix(line, header[0]+",") {
+	if line == output.CSVHeader {
 		return mergeRow{}, true, nil
 	}
-	fields, err := csv.NewReader(strings.NewReader(line)).Read()
+	if got, want := strings.Count(line, ","), strings.Count(output.CSVHeader, ","); got < want {
+		return mergeRow{}, false, fmt.Errorf("csv row with %d fields, want %d", got+1, want+1)
+	}
+	saddr, rest, _ := strings.Cut(line, ",")
+	sport, _, _ := strings.Cut(rest, ",")
+	ip, err := target.ParseIPv4(saddr)
 	if err != nil {
-		return mergeRow{}, false, err
+		return mergeRow{}, false, fmt.Errorf("csv saddr %q: %w", saddr, err)
 	}
-	if len(fields) != len(header) {
-		return mergeRow{}, false, fmt.Errorf("csv row with %d fields, want %d", len(fields), len(header))
-	}
-	ip, err := target.ParseIPv4(fields[0])
+	port, err := parsePort(sport)
 	if err != nil {
-		return mergeRow{}, false, fmt.Errorf("csv saddr %q: %w", fields[0], err)
+		return mergeRow{}, false, fmt.Errorf("csv sport: %w", err)
 	}
-	var port int
-	if _, err := fmt.Sscanf(fields[1], "%d", &port); err != nil || port < 0 || port > 0xFFFF {
-		return mergeRow{}, false, fmt.Errorf("csv sport %q", fields[1])
-	}
-	return mergeRow{key: mergeKey{ip: ip, port: uint16(port)}, fields: fields}, false, nil
+	return mergeRow{key: mergeKey{ip: ip, port: port}, line: line}, false, nil
 }
 
-// parseJSONLRow reads one JSON Lines record.
+// parseJSONLRow reads one JSON Lines row's key. Unmarshal checks the
+// whole line's syntax first, so a torn object is an error here.
 func parseJSONLRow(line string) (mergeRow, bool, error) {
-	var rec output.Record
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+	var key struct {
+		Saddr string `json:"saddr"`
+		Sport uint16 `json:"sport"`
+	}
+	if err := json.Unmarshal([]byte(line), &key); err != nil {
 		return mergeRow{}, false, err
 	}
-	ip, err := target.ParseIPv4(rec.Saddr)
+	ip, err := target.ParseIPv4(key.Saddr)
 	if err != nil {
-		return mergeRow{}, false, fmt.Errorf("jsonl saddr %q: %w", rec.Saddr, err)
+		return mergeRow{}, false, fmt.Errorf("jsonl saddr %q: %w", key.Saddr, err)
 	}
-	return mergeRow{key: mergeKey{ip: ip, port: rec.Sport}, rec: rec}, false, nil
+	return mergeRow{key: mergeKey{ip: ip, port: key.Sport}, line: line}, false, nil
 }

@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"zmapgo/internal/hashx"
 )
 
 // Phase is one segment of a chaos timeline: from After (relative to
@@ -279,9 +281,9 @@ func Decide(seed uint64, phaseIdx int, n uint64, ph Phase, shard int) Decision {
 			d.OneWay = true
 		}
 	}
-	state := splitmix64(seed ^ splitmix64(uint64(phaseIdx)+1) ^ splitmix64(n+0x5bd1e995))
+	state := hashx.SplitMix64(seed ^ hashx.SplitMix64(uint64(phaseIdx)+1) ^ hashx.SplitMix64(n+0x5bd1e995))
 	next := func() float64 {
-		state = splitmix64(state)
+		state = hashx.SplitMix64(state)
 		return float64(state>>11) / (1 << 53)
 	}
 	if next() < ph.Drop {
@@ -300,13 +302,4 @@ func Decide(seed uint64, phaseIdx int, n uint64, ph Phase, shard int) Decision {
 	}
 	d.SlowBody = ph.SlowBody
 	return d
-}
-
-// splitmix64 is the seed expander used across the repo for
-// deterministic derived streams.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"zmapgo/internal/dnswire"
+	"zmapgo/internal/hashx"
 )
 
 // dnsAnswer implements the simulated recursive resolvers behind UDP/53
@@ -36,7 +37,7 @@ func (in *Internet) dnsAnswer(server uint32, payload []byte) []byte {
 		return resp
 	}
 	name := strings.ToLower(q.Name)
-	nameHash := splitmix64(in.cfg.Seed ^ 0xD15 ^ hashString(name))
+	nameHash := hashx.SplitMix64(in.cfg.Seed ^ 0xD15 ^ hashString(name))
 	if uniform(nameHash) >= 0.85 {
 		resp, _ := dnswire.AppendResponse(nil, q, dnswire.RCodeNXDomain, nil)
 		return resp
@@ -50,7 +51,7 @@ func (in *Internet) dnsAnswer(server uint32, payload []byte) []byte {
 		})
 		if nameHash&1 == 1 { // some names have two records
 			answers = append(answers, dnswire.Answer{
-				Name: q.Name, Type: dnswire.TypeA, TTL: 300, A: addrFor(splitmix64(nameHash)),
+				Name: q.Name, Type: dnswire.TypeA, TTL: 300, A: addrFor(hashx.SplitMix64(nameHash)),
 			})
 		}
 	case dnswire.TypeTXT:

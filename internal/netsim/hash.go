@@ -1,15 +1,6 @@
 package netsim
 
-// splitmix64 is the finalizer-quality mixing function used to derive every
-// per-host attribute. The whole simulated Internet is a pure function of
-// (seed, ip, port, purpose), so a population of 2^32 hosts costs no memory
-// and two runs with the same seed are identical.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
+import "zmapgo/internal/hashx"
 
 // purpose constants salt the hash so distinct attributes of the same host
 // are independent.
@@ -28,8 +19,11 @@ const (
 	purposeUDP
 )
 
+// hash derives one per-host attribute. The whole simulated Internet is a
+// pure function of (seed, ip, port, purpose), so a population of 2^32
+// hosts costs no memory and two runs with the same seed are identical.
 func (in *Internet) hash(purpose uint64, ip uint32, port uint16) uint64 {
-	return splitmix64(in.cfg.Seed ^ purpose<<56 ^ uint64(ip)<<16 ^ uint64(port))
+	return hashx.SplitMix64(in.cfg.Seed ^ purpose<<56 ^ uint64(ip)<<16 ^ uint64(port))
 }
 
 // uniform converts a hash to [0, 1).

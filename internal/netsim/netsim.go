@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zmapgo/internal/hashx"
 	"zmapgo/internal/packet"
 )
 
@@ -452,7 +453,7 @@ func (in *Internet) PathBad(src, dst uint32) bool {
 	if in.cfg.PathBadFraction <= 0 {
 		return false
 	}
-	h := splitmix64(in.cfg.Seed ^ purposeLoss<<56 ^ uint64(src)<<32 ^ uint64(dst>>8))
+	h := hashx.SplitMix64(in.cfg.Seed ^ purposeLoss<<56 ^ uint64(src)<<32 ^ uint64(dst>>8))
 	return uniform(h) < in.cfg.PathBadFraction
 }
 
@@ -474,7 +475,7 @@ func (in *Internet) BlowbackCount(ip uint32, port uint16) int {
 	if uniform(h) >= in.cfg.BlowbackFraction {
 		return 0
 	}
-	u := uniform(splitmix64(h))
+	u := uniform(hashx.SplitMix64(h))
 	if u < 1e-12 {
 		u = 1e-12
 	}

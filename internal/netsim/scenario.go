@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"zmapgo/internal/hashx"
 	"zmapgo/internal/packet"
 )
 
@@ -326,7 +327,7 @@ func (w *Weather) noteDrop(class string, dst uint32, el time.Duration) {
 // draw produces one uniform decision for (event, domain, ordinal) —
 // a pure function of the scenario seed, so playback is deterministic.
 func (w *Weather) draw(ev *weatherEvent, domain, ordinal uint64) float64 {
-	return uniform(splitmix64(w.seed ^ ev.idx<<48 ^ domain<<40 ^ ordinal))
+	return uniform(hashx.SplitMix64(w.seed ^ ev.idx<<48 ^ domain<<40 ^ ordinal))
 }
 
 // geDrop advances the event's Gilbert-Elliott chain by one packet and

@@ -3,6 +3,8 @@ package netsim
 import (
 	"math/rand"
 	"sync"
+
+	"zmapgo/internal/hashx"
 )
 
 // Deterministic fault-schedule primitives shared by the simulator's
@@ -56,7 +58,7 @@ func schedRoll(h uint64, prob float64) bool {
 // schedSaltedDraw is the stateless uniform draw behind transient loss:
 // splitmix64 over the seed, a domain separator, and a per-decision salt.
 func schedSaltedDraw(seed, domain, salt uint64) uint64 {
-	return splitmix64(seed ^ domain ^ salt)
+	return hashx.SplitMix64(seed ^ domain ^ salt)
 }
 
 // newScheduleRNG builds the seeded stream used by injectors that need

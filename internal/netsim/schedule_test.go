@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"zmapgo/internal/hashx"
 )
 
 // The shared schedule utility replaced three independently-implemented
@@ -34,7 +36,7 @@ func legacyTransientRoll(frameHash, attempt uint64, prob float64) bool {
 
 // legacyLostDraw is netsim.go's original transient-loss draw.
 func legacyLostDraw(seed, salt uint64, prob float64) bool {
-	return uniform(splitmix64(seed^0xABCD^salt)) < prob
+	return uniform(hashx.SplitMix64(seed^0xABCD^salt)) < prob
 }
 
 func TestScheduleFrameHashPinsLegacy(t *testing.T) {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"zmapgo/internal/hashx"
 	"zmapgo/internal/packet"
 )
 
@@ -22,7 +23,7 @@ func (in *Internet) v6hash(purpose uint64, addr [16]byte, port uint16) uint64 {
 		word := uint64(addr[i])<<56 | uint64(addr[i+1])<<48 | uint64(addr[i+2])<<40 |
 			uint64(addr[i+3])<<32 | uint64(addr[i+4])<<24 | uint64(addr[i+5])<<16 |
 			uint64(addr[i+6])<<8 | uint64(addr[i+7])
-		h = splitmix64(h ^ word)
+		h = hashx.SplitMix64(h ^ word)
 	}
 	return h
 }

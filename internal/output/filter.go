@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"zmapgo/internal/target"
 )
 
 // Filter is a compiled ZMap output-filter expression, e.g.
@@ -83,7 +85,8 @@ type cmpNode struct {
 func fieldValue(r Record, field string) (string, float64, bool, error) {
 	switch field {
 	case "saddr":
-		return r.Saddr, 0, false, nil
+		// The integer it is, exact in a float64.
+		return "", float64(r.IP), true, nil
 	case "classification":
 		return r.Classification, 0, false, nil
 	case "sport":
@@ -279,6 +282,19 @@ func (p *filterParser) parseTerm() (filterNode, error) {
 		return nil, fmt.Errorf("missing value after %q %s", field, op)
 	}
 	node := cmpNode{field: field, op: op, sval: val}
+	if field == "saddr" {
+		// Parsed once here, so a malformed address is a compile error
+		// instead of a filter that silently matches nothing.
+		if op != "=" && op != "!=" {
+			return nil, fmt.Errorf("field %q supports only = and !=", field)
+		}
+		ip, err := target.ParseIPv4(val)
+		if err != nil {
+			return nil, fmt.Errorf("field %q needs a dotted-quad address: %w", field, err)
+		}
+		node.nval, node.isNum = float64(ip), true
+		return node, nil
+	}
 	if n, err := strconv.ParseFloat(val, 64); err == nil {
 		node.nval = n
 		node.isNum = true

@@ -48,7 +48,7 @@ func TestFlushForwardsThroughWrappers(t *testing.T) {
 	if !strings.Contains(buf.String(), "10.0.0.2") {
 		t.Fatalf("flush did not traverse the wrapper chain: %q", buf.String())
 	}
-	// Unbuffered writers flush trivially, wrapped or not.
+	// Writers with nothing buffered flush trivially, wrapped or not.
 	if err := Flush(NewTextWriter(&bytes.Buffer{}, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,15 @@ func TestWrittenCountsOnlyEmittedRecords(t *testing.T) {
 	if wrapped.Count != 3 {
 		t.Fatalf("CountingWriter saw %d records, want 3", wrapped.Count)
 	}
-	// Written reports rows that reached the sink, not rows offered: the
-	// filter-rejected record must not count toward the crash-loss floor.
+	// Written reports rows the stream accepted, not rows offered: nothing
+	// before the flush, and never the filter-rejected record — neither
+	// may count toward the crash-loss floor.
+	if got := Written(wrapped); got != 0 {
+		t.Fatalf("Written before flush = %d, want 0", got)
+	}
+	if err := Flush(wrapped); err != nil {
+		t.Fatal(err)
+	}
 	if got := Written(wrapped); got != 2 {
 		t.Fatalf("Written through wrapper chain = %d, want 2", got)
 	}

@@ -14,7 +14,7 @@ func sampleRecord() Record {
 
 func TestNewRecord(t *testing.T) {
 	r := sampleRecord()
-	if r.Saddr != "1.2.3.4" || r.Sport != 443 || !r.Success || r.TTL != 57 {
+	if r.IP != 0x01020304 || r.Saddr() != "1.2.3.4" || r.Sport != 443 || !r.Success || r.TTL != 57 {
 		t.Errorf("bad record %+v", r)
 	}
 	if r.Timestamp != 1.5 {
@@ -28,12 +28,16 @@ func TestTextWriter(t *testing.T) {
 	if err := w.Write(sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if buf.String() != "1.2.3.4\n" {
 		t.Errorf("text output %q", buf.String())
 	}
 	buf.Reset()
 	wp := NewTextWriter(&buf, true)
 	wp.Write(sampleRecord())
+	wp.Flush()
 	if buf.String() != "1.2.3.4:443\n" {
 		t.Errorf("text+port output %q", buf.String())
 	}
@@ -73,6 +77,9 @@ func TestJSONLWriter(t *testing.T) {
 	w := NewJSONLWriter(&buf)
 	w.Write(sampleRecord())
 	w.Write(sampleRecord())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("jsonl lines = %d", len(lines))
@@ -105,6 +112,13 @@ func TestSchemaMatchesRecordFields(t *testing.T) {
 	}
 	if s[0].Name != "saddr" || s[0].Type != "string" {
 		t.Error("schema[0] wrong")
+	}
+	var names []string
+	for _, f := range s {
+		names = append(names, f.Name)
+	}
+	if strings.Join(names, ",") != CSVHeader {
+		t.Errorf("CSV header %q is not the schema's field order %v", CSVHeader, names)
 	}
 	// Every schema field must have a single static type.
 	for _, f := range s {
@@ -153,6 +167,8 @@ func TestFilterExpressions(t *testing.T) {
 		{"(sport = 80 || sport = 22) && ttl > 32", false},
 		{"saddr = 1.2.3.4", true},
 		{"saddr != 1.2.3.4", false},
+		{"saddr = 1.2.3.5", false},
+		{"saddr = 1.2.3.5 || saddr = 01.002.3.4", true},
 		{"timestamp >= 1.5", true},
 		{"timestamp > 1.5", false},
 		{"cooldown = 0 && repeat = 0 && success = 1", true},
@@ -174,6 +190,11 @@ func TestFilterCompileErrors(t *testing.T) {
 		"success == 1",
 		"success =",
 		"sport = abc",
+		"saddr = 10.0.0.256",
+		"saddr = banana",
+		"saddr = 16909060",
+		"saddr = 1.2.3",
+		"saddr < 1.2.3.4",
 		"classification > synack",
 		"(success = 1",
 		"success = 1 &&",

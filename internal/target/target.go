@@ -42,14 +42,15 @@ func ParseIPv4(s string) (uint32, error) {
 // FormatIPv4 renders a host-byte-order IPv4 address as a dotted quad.
 func FormatIPv4(ip uint32) string {
 	var b [15]byte
-	out := strconv.AppendUint(b[:0], uint64(ip>>24), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(ip>>16&0xFF), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(ip>>8&0xFF), 10)
-	out = append(out, '.')
-	out = strconv.AppendUint(out, uint64(ip&0xFF), 10)
-	return string(out)
+	return string(AppendIPv4(b[:0], ip))
+}
+
+// AppendIPv4 appends the dotted quad of a host-byte-order IPv4 address.
+func AppendIPv4(dst []byte, ip uint32) []byte {
+	dst = append(strconv.AppendUint(dst, uint64(ip>>24), 10), '.')
+	dst = append(strconv.AppendUint(dst, uint64(ip>>16&0xFF), 10), '.')
+	dst = append(strconv.AppendUint(dst, uint64(ip>>8&0xFF), 10), '.')
+	return strconv.AppendUint(dst, uint64(ip&0xFF), 10)
 }
 
 // parseCIDR parses "a.b.c.d/len" (or a bare address, treated as /32)

@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"zmapgo/internal/hashx"
 )
 
 // Kind identifies one ring event type.
@@ -325,18 +327,6 @@ func (r *Recorder) Shard(i int) *Shard {
 	return r.shards[i]
 }
 
-// mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash so
-// sampling is uncorrelated with address structure (sequential IPs in a
-// /16 must not all land in — or all miss — the sample).
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Sampled reports whether the (ip, port) target is in the trace sample.
 // It is deterministic and stateless, so the send path and the receive
 // path independently agree on which targets are traced — no per-probe
@@ -345,7 +335,7 @@ func (r *Recorder) Sampled(ip uint32, port uint16) bool {
 	if r.sampleMask == ^uint64(0) {
 		return false
 	}
-	return mix64(uint64(ip)<<16|uint64(port))&r.sampleMask == 0
+	return hashx.Mix64(uint64(ip)<<16|uint64(port))&r.sampleMask == 0
 }
 
 // Key packs a sampled target for later Record calls: non-zero iff

@@ -13,6 +13,16 @@
 // records the GOMAXPROCS the benchmarks ran at, read from the -N suffix
 // go test appends to their names (none means 1): a figure says nothing
 // about scaling without it.
+//
+// With -compare old.json the input is checked against a committed
+// report instead of printed: any benchmark whose allocs/op rose fails,
+// and with -tolerance (e.g. 10%) so does one whose ns/op is worse by
+// more than that. Leave -tolerance off where the machine is not the one
+// the baseline was taken on — allocation counts travel, nanoseconds do
+// not. Reports taken at different GOMAXPROCS are refused, not compared.
+//
+//	go test -run XXX -bench BenchmarkRecvPath -benchmem -cpu 2 ./internal/core | \
+//	    go run ./scripts/benchjson -compare BENCH_recvpath.json -tolerance 10%
 package main
 
 import (
@@ -47,6 +57,8 @@ type report struct {
 
 func main() {
 	baseline := flag.String("baseline", "", "benchmark name to report speedups against")
+	compare := flag.String("compare", "", "committed report to check stdin against instead of printing a report")
+	tolerance := flag.String("tolerance", "", "with -compare: how much worse ns/op may be, e.g. 10% (empty = check allocations only)")
 	flag.Parse()
 
 	rep := report{Baseline: *baseline}
@@ -92,6 +104,10 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *compare != "" {
+		os.Exit(compareReports(*compare, rep, *tolerance))
+	}
+
 	if *baseline != "" {
 		var base float64
 		for _, e := range rep.Results {
@@ -117,6 +133,64 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// compareReports checks cur against the report in oldPath and returns
+// the exit code: 0 when nothing regressed, 1 otherwise. A benchmark on
+// one side only is reported and skipped — rows such as workers=8 exist
+// only where there are CPUs to run them.
+func compareReports(oldPath string, cur report, tolerance string) int {
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
+		return 1
+	}
+	slack := -1.0 // negative: ns/op is not checked
+	if tolerance != "" {
+		pct, err := strconv.ParseFloat(strings.TrimSuffix(tolerance, "%"), 64)
+		if err != nil || pct < 0 || !strings.HasSuffix(tolerance, "%") {
+			return fail("-tolerance %q: want a percentage such as 10%%", tolerance)
+		}
+		slack = pct / 100
+	}
+	data, err := os.ReadFile(oldPath)
+	if err != nil {
+		return fail("%v", err)
+	}
+	var old report
+	if err := json.Unmarshal(data, &old); err != nil {
+		return fail("%s: %v", oldPath, err)
+	}
+	if old.Procs != cur.Procs {
+		return fail("%s was taken at GOMAXPROCS=%d, this run at %d; rerun with -cpu %d",
+			oldPath, old.Procs, cur.Procs, old.Procs)
+	}
+	before := make(map[string]entry, len(old.Results))
+	for _, e := range old.Results {
+		before[e.Name] = e
+	}
+	code := 0
+	for _, e := range cur.Results {
+		o, ok := before[e.Name]
+		delete(before, e.Name)
+		switch {
+		case !ok:
+			fmt.Printf("%-44s new, not in %s\n", e.Name, oldPath)
+		case o.AllocsPerOp != nil && e.AllocsPerOp != nil && *e.AllocsPerOp > *o.AllocsPerOp:
+			fmt.Printf("%-44s FAIL allocs/op %d -> %d\n", e.Name, *o.AllocsPerOp, *e.AllocsPerOp)
+			code = 1
+		case slack >= 0 && e.NsPerOp > o.NsPerOp*(1+slack):
+			fmt.Printf("%-44s FAIL ns/op %.4g -> %.4g (%+.1f%%, tolerance %s)\n",
+				e.Name, o.NsPerOp, e.NsPerOp, (e.NsPerOp/o.NsPerOp-1)*100, tolerance)
+			code = 1
+		default:
+			fmt.Printf("%-44s ok   ns/op %.4g -> %.4g (%+.1f%%)\n",
+				e.Name, o.NsPerOp, e.NsPerOp, (e.NsPerOp/o.NsPerOp-1)*100)
+		}
+	}
+	for name := range before {
+		fmt.Printf("%-44s not run\n", name)
+	}
+	return code
 }
 
 // parseBenchLine parses one `BenchmarkName-8  N  X ns/op [Y B/op Z

@@ -9,7 +9,7 @@ echo "==> go vet ./..."
 go vet ./...
 
 echo "==> gofmt check"
-unformatted=$(gofmt -l cmd internal zmap examples)
+unformatted=$(gofmt -l cmd internal zmap examples scripts)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -88,5 +88,8 @@ grep -q "stage latencies" "$tracedir/report.txt" \
 echo "==> scan benchmark smoke: reflector contract, ledger accept/forge assertions, oracle"
 go run ./bench -workload recv_reflect -seed 2 -seconds 3 -trace 1 > "$tracedir/bench.txt" \
     || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
+
+echo "==> bench-check: allocs/op against the committed BENCH_*.json baselines"
+make bench-check
 
 echo "OK"
