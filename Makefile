@@ -7,11 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# -count=1: a cached pass cannot hide a flaky test.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 vet:
 	$(GO) vet ./...

@@ -76,8 +76,6 @@ func run(args []string) int {
 		retries     = fs.Int("retries", 0, "per-probe retry budget on transient send errors (0 = default 10, negative = none)")
 		sendBackoff = fs.Duration("send-backoff", 0, "initial retry backoff, doubled per attempt (0 = default 1ms)")
 		maxRestarts = fs.Int("max-sender-restarts", 0, "sender restarts after fatal errors or panics (0 = default 2, negative = none)")
-		stateFile   = fs.String("state-file", "", "write resumable scan state (JSON) here at exit")
-		resumeFile  = fs.String("resume", "", "resume from a state file written by --state-file")
 		ckptFile    = fs.String("checkpoint", "", "write a crash-safe scan checkpoint here periodically and at exit")
 		ckptEvery   = fs.Duration("checkpoint-interval", 0, "how often to snapshot scan state (0 = default 5s)")
 		resumeCkpt  = fs.String("resume-from", "", "resume from a checkpoint written by --checkpoint (config must match; seed 0 is adopted)")
@@ -265,9 +263,13 @@ func run(args []string) int {
 		opts.StatusFormat = *statusFmt
 		opts.StatusCSVHeader = *statusHdr
 	}
+	// Errors always reach stderr: a results stream that starts refusing
+	// writes must not end in silence and exit 0.
+	logLevel := slog.LevelError
 	if *verbose {
-		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		logLevel = slog.LevelDebug
 	}
+	opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel}))
 
 	if *resumeCkpt != "" {
 		snap, err := zmap.LoadCheckpoint(*resumeCkpt)
@@ -278,22 +280,6 @@ func run(args []string) int {
 		opts.Resume = snap
 		fmt.Fprintf(os.Stderr, "zmapgo: resuming run %d from %s (phase %q, %d sent, progress %v)\n",
 			snap.Runs+1, *resumeCkpt, snap.Phase, snap.PacketsSent, snap.Progress)
-	}
-
-	if *resumeFile != "" {
-		st, err := loadState(*resumeFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zmapgo:", err)
-			return 1
-		}
-		if st.Seed != opts.Seed || st.Shards != opts.Shards ||
-			st.ShardIndex != opts.ShardIndex || st.Threads != opts.Threads {
-			fmt.Fprintf(os.Stderr, "zmapgo: state file was written with seed=%d shards=%d shard=%d T=%d; pass identical flags\n",
-				st.Seed, st.Shards, st.ShardIndex, st.Threads)
-			return 1
-		}
-		opts.ResumeProgress = st.Progress
-		fmt.Fprintf(os.Stderr, "zmapgo: resuming from %v elements\n", st.Progress)
 	}
 
 	internet := zmap.NewInternet(zmap.SimOptions{Seed: *simSeed, Lossless: *simLossless})
@@ -464,12 +450,14 @@ func run(args []string) int {
 	}
 	if aborted {
 		// Senders died on a fatal transport error. The summary is still
-		// valid and its progress is resumable, so report and save state
-		// before exiting nonzero.
+		// valid and the final checkpoint (when one is configured) is
+		// exact, so report before exiting nonzero.
 		fmt.Fprintln(os.Stderr, "zmapgo:", err)
-		fmt.Fprintf(os.Stderr,
-			"zmapgo: %d send errors, %d sender restarts; progress saved for --resume\n",
+		fmt.Fprintf(os.Stderr, "zmapgo: %d send errors, %d sender restarts\n",
 			summary.SendErrors, summary.SenderRestarts)
+		if *ckptFile != "" {
+			fmt.Fprintf(os.Stderr, "zmapgo: progress saved; resume with --resume-from %s\n", *ckptFile)
+		}
 		// A fatal abort is exactly when the flight recorder earns its
 		// keep: dump it unconditionally so the last decisions and probe
 		// spans before death are on disk.
@@ -477,10 +465,14 @@ func run(args []string) int {
 	} else if *traceFile != "" {
 		dumpTrace("scan end")
 	}
+	rowsLost := ""
+	if n := scanner.Metrics().Counter("zmapgo_results_rows_lost_total", "").Value(); n > 0 {
+		rowsLost = fmt.Sprintf(", %d rows lost", n)
+	}
 	fmt.Fprintf(os.Stderr,
-		"zmapgo: sent %d probes, %d unique successes (hit rate %.3f%%), %d dups, %.0f pps\n",
+		"zmapgo: sent %d probes, %d unique successes (hit rate %.3f%%), %d dups, %.0f pps%s\n",
 		summary.PacketsSent, summary.UniqueSucc, summary.HitRate*100,
-		summary.Duplicates, summary.SendRatePPS)
+		summary.Duplicates, summary.SendRatePPS, rowsLost)
 	if summary.AdaptiveRate {
 		fmt.Fprintf(os.Stderr,
 			"zmapgo: adaptive rate: final %.0f pps (%d decreases, %d increases, %d unreachables)\n",
@@ -494,20 +486,6 @@ func run(args []string) int {
 				q.Prefix, q.AtSecs, q.Sent, q.Recv)
 		}
 	}
-	if *stateFile != "" {
-		st := scanState{
-			Seed:       summary.Seed,
-			Shards:     summary.Shards,
-			ShardIndex: summary.ShardIndex,
-			Threads:    summary.SenderThreads,
-			Progress:   summary.ThreadProgress,
-		}
-		if err := saveState(*stateFile, st); err != nil {
-			fmt.Fprintln(os.Stderr, "zmapgo:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "zmapgo: state written to %s\n", *stateFile)
-	}
 	if summary.Interrupted {
 		if *ckptFile != "" {
 			fmt.Fprintf(os.Stderr, "zmapgo: interrupted; resume with --resume-from %s\n", *ckptFile)
@@ -518,32 +496,6 @@ func run(args []string) int {
 		return 3
 	}
 	return 0
-}
-
-// scanState is the resumable-scan state document.
-type scanState struct {
-	Seed       int64    `json:"seed"`
-	Shards     int      `json:"shards"`
-	ShardIndex int      `json:"shard_index"`
-	Threads    int      `json:"threads"`
-	Progress   []uint64 `json:"progress"`
-}
-
-func saveState(path string, st scanState) error {
-	data, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-func loadState(path string) (scanState, error) {
-	var st scanState
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return st, err
-	}
-	return st, json.Unmarshal(data, &st)
 }
 
 // parseDarkPrefix parses the --sim-dark-prefix argument: an IPv4 CIDR

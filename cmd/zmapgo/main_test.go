@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"syscall"
@@ -161,7 +162,7 @@ func TestCLIOptOutFile(t *testing.T) {
 
 func TestCLIStateFileResume(t *testing.T) {
 	dir := t.TempDir()
-	state := filepath.Join(dir, "scan.state")
+	state := filepath.Join(dir, "scan.ckpt")
 	out1 := filepath.Join(dir, "half1.txt")
 	out2 := filepath.Join(dir, "half2.txt")
 	common := []string{
@@ -170,13 +171,13 @@ func TestCLIStateFileResume(t *testing.T) {
 	}
 	// First half: cap at 2000 targets, save state.
 	args := append(append([]string{}, common...),
-		"--max-targets", "2000", "--state-file", state, "-o", out1)
+		"--max-targets", "2000", "--checkpoint", state, "-o", out1)
 	if code := run(args); code != 0 {
 		t.Fatalf("first half exit %d", code)
 	}
 	// Second half: resume from state.
 	args = append(append([]string{}, common...),
-		"--resume", state, "-o", out2)
+		"--resume-from", state, "-o", out2)
 	if code := run(args); code != 0 {
 		t.Fatalf("resume exit %d", code)
 	}
@@ -192,7 +193,7 @@ func TestCLIStateFileResume(t *testing.T) {
 		}
 	}
 	// Resuming with mismatched flags must be rejected.
-	bad := append(append([]string{}, common...), "--resume", state, "-T", "3", "-o", os.DevNull)
+	bad := append(append([]string{}, common...), "--resume-from", state, "-T", "3", "-o", os.DevNull)
 	if code := run(bad); code == 0 {
 		t.Error("resume with mismatched thread count accepted")
 	}
@@ -227,7 +228,7 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 	// A transport that dies permanently must exit nonzero but still save
 	// resumable state; a clean resume finishes the scan.
 	dir := t.TempDir()
-	state := filepath.Join(dir, "scan.state")
+	state := filepath.Join(dir, "scan.ckpt")
 	out1 := filepath.Join(dir, "half1.txt")
 	out2 := filepath.Join(dir, "half2.txt")
 	common := []string{
@@ -235,14 +236,14 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 		"--sim-lossless", "--sim-time-scale", "0", "--cooldown-time", "100ms",
 	}
 	args := append(append([]string{}, common...),
-		"--sim-fault-fatal-after", "300", "--state-file", state, "-o", out1)
+		"--sim-fault-fatal-after", "300", "--checkpoint", state, "-o", out1)
 	if code := run(args); code != 3 {
 		t.Fatalf("fatal-transport exit code %d, want 3", code)
 	}
 	if _, err := os.Stat(state); err != nil {
 		t.Fatalf("state file not written: %v", err)
 	}
-	args = append(append([]string{}, common...), "--resume", state, "-o", out2)
+	args = append(append([]string{}, common...), "--resume-from", state, "-o", out2)
 	if code := run(args); code != 0 {
 		t.Fatalf("resume exit %d", code)
 	}
@@ -252,6 +253,63 @@ func TestCLIFatalTransportSavesResumableState(t *testing.T) {
 		if strings.Contains(string(b), addr+"\n") {
 			t.Fatalf("%s found by both halves", addr)
 		}
+	}
+}
+
+// captureStderr runs fn with os.Stderr pointed at a file and returns
+// what it wrote there. run resolves os.Stderr when called, so this sees
+// the CLI's messages and its logger's.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = old }()
+	fn()
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func TestCLILostRowsAreSaidOutLoud(t *testing.T) {
+	// A results stream that refuses every write (a full disk) must not
+	// end in silence: results are best-effort, so the scan completes, but
+	// without -v the errors still reach stderr and the summary line
+	// carries the loss.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	var code int
+	stderr := captureStderr(t, func() {
+		code = run([]string{
+			"-r", "10.0.0.0/22", "-p", "80", "--seed", "5",
+			"--sim-lossless", "--sim-time-scale", "0", "--cooldown-time", "100ms",
+			"-o", "/dev/full",
+		})
+	})
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0 (results are a best-effort stream)\n%s", code, stderr)
+	}
+	for _, want := range []string{"result write failed", "result rows lost"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q without -v:\n%s", want, stderr)
+		}
+	}
+	m := regexp.MustCompile(`(\d+) unique successes .*, (\d+) rows lost\n`).FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("summary line does not report lost rows:\n%s", stderr)
+	}
+	if m[1] == "0" || m[1] != m[2] {
+		t.Errorf("%s unique successes but %s rows lost; every write was refused", m[1], m[2])
+	}
+	if strings.Contains(stderr, "level=INFO") || strings.Contains(stderr, "level=DEBUG") {
+		t.Errorf("non-error logs on stderr without -v:\n%s", stderr)
 	}
 }
 

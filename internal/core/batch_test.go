@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,17 +12,21 @@ import (
 	"zmapgo/internal/probe"
 )
 
-// unbuildableModule is a registered probe module whose MakeProbe always
-// fails. It pins the rate-limiter regression: a probe that cannot be
-// built must never consume a rate token (the historical loop drew the
-// token before attempting the build, silently under-running the
-// configured rate on every failure).
+// unbuildableModule is a registered probe module that can build neither
+// a probe nor a template, as a shipped module would be under a Context
+// it cannot encode.
 type unbuildableModule struct{}
+
+var errUnbuildable = errors.New("test module never builds probes")
 
 func (unbuildableModule) Name() string { return "test_unbuildable" }
 
 func (unbuildableModule) MakeProbe(buf []byte, ctx *probe.Context, ip uint32, port uint16) ([]byte, error) {
-	return nil, fmt.Errorf("test module never builds probes")
+	return nil, errUnbuildable
+}
+
+func (unbuildableModule) MakeTemplate(ctx *probe.Context) (*probe.Renderer, error) {
+	return nil, errUnbuildable
 }
 
 func (unbuildableModule) Classify(ctx *probe.Context, f *packet.Frame) (probe.Result, bool) {
@@ -33,53 +37,16 @@ func (unbuildableModule) ProbeLen(ctx *probe.Context) int { return 54 }
 
 func init() { probe.Register(unbuildableModule{}) }
 
-// sleepCountingClock is a real clock that counts Sleep calls. The
-// limiter only sleeps when a token grant actually blocks, so the count
-// distinguishes "drew tokens" from "never touched the limiter".
-type sleepCountingClock struct {
-	sleeps atomic.Uint64
-}
-
-func (c *sleepCountingClock) Now() time.Time { return time.Now() }
-
-func (c *sleepCountingClock) Sleep(d time.Duration) {
-	c.sleeps.Add(1)
-	time.Sleep(d)
-}
-
-func TestBuildFailuresBurnNoRateTokens(t *testing.T) {
-	// Every build fails, at a rate slow enough (1k pps) that drawing one
-	// token per failed build — the old behavior — would sleep thousands
-	// of times and take ~16s. The fixed path must finish immediately:
-	// zero limiter sleeps, zero packets, every failure counted.
+func TestNewRefusesUnbuildableProbe(t *testing.T) {
+	// A probe build depends on the scan's context, never on the target:
+	// a scan whose module cannot build its template could only send
+	// nothing, so New fails with the module's error instead of running.
 	in, cfg, _ := testbed(t, 220, "80")
 	cfg.ProbeModule = "test_unbuildable"
-	cfg.Rate = 1000
-	clk := &sleepCountingClock{}
-	cfg.Clock = clk
-	cfg.Cooldown = time.Millisecond
 	link := netsim.NewLink(in, 1<<10, 0)
 	defer link.Close()
-	s, err := New(cfg, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	meta, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("scan of unbuildable probes took %v; build failures are drawing rate tokens", elapsed)
-	}
-	if n := clk.sleeps.Load(); n != 0 {
-		t.Errorf("limiter slept %d times for probes that never existed", n)
-	}
-	if meta.ProbeBuildErrors != 16384 {
-		t.Errorf("ProbeBuildErrors = %d, want 16384", meta.ProbeBuildErrors)
-	}
-	if meta.PacketsSent != 0 {
-		t.Errorf("PacketsSent = %d, want 0", meta.PacketsSent)
+	if _, err := New(cfg, link); !errors.Is(err, errUnbuildable) {
+		t.Fatalf("New error = %v, want the module's build error", err)
 	}
 }
 
@@ -184,7 +151,7 @@ func TestBatchedKillAndResumeExactCoverage(t *testing.T) {
 	in2, cfg2, sink2 := testbed(t, 222, "80")
 	cfg2.Seed = cfg.Seed
 	cfg2.BatchSize = 256
-	cfg2.ResumeProgress = meta1.ThreadProgress
+	cfg2.Resume = resumeFrom(s1, meta1.ThreadProgress)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)

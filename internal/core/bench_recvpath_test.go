@@ -39,7 +39,10 @@ func newReplayTransport(frames [][]byte) *replayTransport {
 	return &replayTransport{frames: frames, ch: make(chan []byte, 1)}
 }
 
-func (r *replayTransport) Send([]byte) error { return nil }
+func (r *replayTransport) SendBatch(frames [][]byte) (int, error) { return len(frames), nil }
+
+// Release is a no-op: the frame set is fixed and replayed in place.
+func (r *replayTransport) Release([]byte) {}
 
 func (r *replayTransport) Recv() <-chan []byte { return r.ch }
 
@@ -76,7 +79,7 @@ func (r *replayTransport) feed(n int) {
 	}
 }
 
-// RecvBatch implements BatchReceiver. When frames remain after the
+// RecvBatch implements Transport. When frames remain after the
 // drain, one is pushed through the Recv channel to re-arm the wakeup:
 // the dispatcher only consumed the previous wake frame, so without this
 // the rest of the queue would strand. At most one wake is ever

@@ -23,7 +23,9 @@ func (t *nullTransport) SendBatch(frames [][]byte) (int, error) {
 	return len(frames), nil
 }
 
-func (t *nullTransport) Recv() <-chan []byte { return nil }
+func (t *nullTransport) Recv() <-chan []byte    { return nil }
+func (t *nullTransport) RecvBatch([][]byte) int { return 0 }
+func (t *nullTransport) Release([]byte)         {}
 
 func (t *nullTransport) Stats() (sent, received, dropped uint64) {
 	return t.sent.Load(), 0, 0
@@ -83,7 +85,7 @@ func BenchmarkSendPathBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := benchProbeCtx()
-			r, err := mod.(probe.Templater).MakeTemplate(ctx)
+			r, err := mod.MakeTemplate(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -133,7 +135,7 @@ func TestBatchSendPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := benchProbeCtx()
-	r, err := mod.(probe.Templater).MakeTemplate(ctx)
+	r, err := mod.MakeTemplate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,70 +50,45 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.2.0"
+const Version = "1.3.0"
 
 // Transport is the wire the scanner sends probes into and receives
 // responses from. netsim.Link implements it for the simulated Internet; a
-// raw-socket implementation would satisfy it on a real network.
+// raw-socket implementation would satisfy it on a real network. Batches
+// are the contract in both directions (§4.3's sendmmsg path and its
+// recvmmsg mirror); a single frame is a batch of one.
 //
-// Send may fail. Errors that implement Transient() bool, or that wrap a
-// retryable errno (see IsTransientSendError), are retried under the
-// Config.Retries/Backoff policy; anything else is fatal to the sender
-// thread and triggers supervision.
+// SendBatch attempts the frames in order and returns how many were
+// accepted: frames[:sent] are on the wire; when err is non-nil,
+// frames[sent] is the attempt that failed and frames[sent+1:] were not
+// attempted. The transport must not retain the frame slices after
+// returning — senders re-patch them in place for the next batch. Errors
+// that implement Transient() bool, or that wrap a retryable errno (see
+// IsTransientSendError), are retried under the Config.Retries/Backoff
+// policy; anything else is fatal to the sender thread and triggers
+// supervision.
+//
+// The engine blocks on Recv for the first frame of a train and moves the
+// rest — up to len(dst) already-queued frames — out through RecvBatch
+// without blocking, amortizing the per-wakeup costs (clock reads,
+// channel operations) across the train. It calls Release exactly once
+// per frame drawn from either, after it has finished reading it, so a
+// transport with pooled receive buffers can recycle them.
 type Transport interface {
-	Send(frame []byte) error
+	SendBatch(frames [][]byte) (sent int, err error)
 	Recv() <-chan []byte
+	RecvBatch(dst [][]byte) int
+	Release(frame []byte)
 	Stats() (sent, received, dropped uint64)
 }
 
-// BatchTransport is the batched extension of Transport (the sendmmsg
-// analogue, §4.3). SendBatch attempts the frames in order and returns
-// how many were accepted: frames[:sent] are on the wire; when err is
-// non-nil, frames[sent] is the attempt that failed and frames[sent+1:]
-// were not attempted. The transport must not retain the frame slices
-// after returning — senders re-patch them in place for the next batch.
-//
-// Transports that do not implement it still work: the engine falls
-// back to per-frame Send with identical failure semantics.
-type BatchTransport interface {
-	Transport
-	SendBatch(frames [][]byte) (sent int, err error)
-}
-
-// FrameReleaser is an optional Transport extension for pooled receive
-// buffers: the engine calls Release exactly once per frame drawn from
-// Recv, after it has finished reading it, so the transport can recycle
-// the buffer instead of leaving it to the garbage collector.
-type FrameReleaser interface {
-	Release(frame []byte)
-}
-
-// BatchReceiver is the batched extension of Transport's receive side
-// (the recvmmsg analogue, mirroring BatchTransport on the send side).
-// RecvBatch moves up to len(dst) already-queued frames into dst without
-// blocking and returns how many it delivered; the engine blocks on Recv
-// for the first frame of a train and drains the rest through RecvBatch,
-// amortizing the per-wakeup costs (clock reads, channel operations)
-// across the whole train. Transports that do not implement it still
-// work: the engine falls back to draining Recv without blocking.
-type BatchReceiver interface {
-	RecvBatch(dst [][]byte) int
-}
-
-// sendFrames pushes a batch through the transport, natively when it
-// implements BatchTransport and frame-by-frame otherwise, with the
-// BatchTransport return contract either way.
-func sendFrames(t Transport, frames [][]byte) (int, error) {
-	if bt, ok := t.(BatchTransport); ok {
-		return bt.SendBatch(frames)
-	}
-	for i, frame := range frames {
-		if err := t.Send(frame); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
-}
+// The three optional extensions Transport absorbed. The frozen bench/
+// still names them; they go with the next [benchmark] PR.
+type (
+	BatchTransport = Transport
+	BatchReceiver  = Transport
+	FrameReleaser  = Transport
+)
 
 // Config describes one scan. Zero values get ZMap's defaults where a
 // default exists; Validate reports what cannot be defaulted.
@@ -198,20 +173,14 @@ type Config struct {
 	// aborts, and Run returns ErrSenderAborted after the cooldown.
 	MaxSenderRestarts int
 
-	// ResumeProgress restores an interrupted scan: element counts
-	// consumed per sender thread, as reported in the previous run's
-	// metadata (ThreadProgress). Length must equal Threads, and Seed,
-	// Shards, ShardIndex, ShardMode, Ports, and the constraint must be
-	// identical to the original scan or coverage guarantees are void.
-	ResumeProgress []uint64
-
 	// Resume restores an interrupted scan from a checkpoint snapshot
 	// (see internal/checkpoint). The snapshot's configuration fingerprint
 	// must match this scan's — New fails hard on any mismatch, because a
 	// resumed scan with a different permutation is silently wrong. When
 	// Seed is zero it is adopted from the snapshot; everything else must
-	// be configured identically. Resume overrides ResumeProgress and also
-	// restores the dedup sliding window when the snapshot carries one.
+	// be configured identically. Resume restores per-thread progress, the
+	// dedup sliding window when the snapshot carries one, and the health
+	// controller's learned state.
 	Resume *checkpoint.Snapshot
 
 	// CheckpointPath, when non-empty, makes the scan crash-safe: a
@@ -404,9 +373,6 @@ func (c *Config) Validate() error {
 	if _, err := probe.Lookup(c.ProbeModule); err != nil {
 		return err
 	}
-	if c.ResumeProgress != nil && len(c.ResumeProgress) != c.Threads {
-		return fmt.Errorf("core: ResumeProgress has %d entries for %d threads", len(c.ResumeProgress), c.Threads)
-	}
 	if c.AdaptiveRate && c.Rate <= 0 {
 		return errors.New("core: AdaptiveRate requires a configured Rate")
 	}
@@ -426,6 +392,7 @@ type Scanner struct {
 	space     *cyclic.Space
 	cycle     cyclic.Cycle
 	probeCtx  *probe.Context
+	renderer  *probe.Renderer // shared by sender threads; holds no mutable state
 	counters  monitor.Counters
 	deduper   dedup.Deduper
 	sentCount atomic.Uint64 // targets probed (for MaxTargets)
@@ -445,7 +412,6 @@ type Scanner struct {
 	firstStart  time.Time
 	prevSecs    float64
 	ckptWrites  atomic.Uint64
-	probeErrs   atomic.Uint64
 	phaseNow    atomic.Value // string; read by the checkpoint goroutine
 
 	// Scan health: the closed-loop controller (nil when disabled), and
@@ -561,6 +527,26 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 	validator := validate.New(key)
 	genDur := time.Since(genStart)
 
+	probeCtx := &probe.Context{
+		SrcIP:           cfg.SourceIP,
+		SrcMAC:          cfg.SourceMAC,
+		GwMAC:           cfg.GatewayMAC,
+		Validator:       validator,
+		SourcePortBase:  cfg.SourcePortBase,
+		SourcePortCount: cfg.SourcePortCount,
+		Options:         cfg.OptionLayout,
+		RandomIPID:      cfg.RandomIPID,
+		TTL:             cfg.TTL,
+		TimestampValue:  uint32(seed),
+	}
+	// A probe build depends on the scan's context, never on the target,
+	// so a module that cannot build its template cannot build any probe:
+	// refuse the scan here rather than send nothing.
+	renderer, err := mod.MakeTemplate(probeCtx)
+	if err != nil {
+		return nil, fmt.Errorf("core: probe module %s: %w", cfg.ProbeModule, err)
+	}
+
 	// Dedup state. The default sliding window is partitioned into one
 	// shard per receive worker — the flow-hash fanout guarantees every
 	// response of one (IP, port) lands on the same worker, so each shard
@@ -595,6 +581,7 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		TargetsDigest:   cfg.Constraint.Digest(),
 	}
 	runs, firstStart, prevSecs := 1, time.Time{}, 0.0
+	progress := make([]atomic.Uint64, cfg.Threads)
 	if cfg.Resume != nil {
 		if err := cfg.Resume.Verify(fp); err != nil {
 			return nil, err
@@ -605,7 +592,9 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 			return nil, fmt.Errorf("core: checkpoint has progress for %d threads, fingerprint says %d",
 				len(cfg.Resume.Progress), cfg.Threads)
 		}
-		cfg.ResumeProgress = append([]uint64(nil), cfg.Resume.Progress...)
+		for t, done := range cfg.Resume.Progress {
+			progress[t].Store(done)
+		}
 		if d := cfg.Resume.Dedup; d != nil {
 			if dedupShards != nil {
 				keys, err := checkpoint.DecodeKeys(d.Keys)
@@ -633,25 +622,15 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		space:       space,
 		cycle:       cycle,
 		deduper:     deduper,
-		progress:    make([]atomic.Uint64, cfg.Threads),
+		progress:    progress,
 		threadDone:  make([]atomic.Bool, cfg.Threads),
 		fingerprint: fp,
 		runs:        runs,
 		firstStart:  firstStart,
 		prevSecs:    prevSecs,
 		stopCh:      make(chan struct{}),
-		probeCtx: &probe.Context{
-			SrcIP:           cfg.SourceIP,
-			SrcMAC:          cfg.SourceMAC,
-			GwMAC:           cfg.GatewayMAC,
-			Validator:       validator,
-			SourcePortBase:  cfg.SourcePortBase,
-			SourcePortCount: cfg.SourcePortCount,
-			Options:         cfg.OptionLayout,
-			RandomIPID:      cfg.RandomIPID,
-			TTL:             cfg.TTL,
-			TimestampValue:  uint32(seed),
-		},
+		probeCtx:    probeCtx,
+		renderer:    renderer,
 	}
 	// Flight recorder: one ring shard per sender thread, one per
 	// receive worker, and one reserved for the transport/netsim fault
@@ -774,9 +753,6 @@ func (s *Scanner) initMetrics(validator *validate.Validator) {
 	reg.CounterFunc("zmapgo_recv_invalid_total",
 		"Well-formed frames rejected by stateless validation/classification.",
 		func() uint64 { return c.Snapshot().RecvInvalid })
-	reg.CounterFunc("zmapgo_probe_build_errors_total",
-		"Probes the engine could not build and skipped.",
-		func() uint64 { return s.probeErrs.Load() })
 	reg.CounterFunc("zmapgo_checkpoints_written_total",
 		"Checkpoint snapshots successfully persisted.",
 		func() uint64 { return s.ckptWrites.Load() })
@@ -860,8 +836,7 @@ func (s *Scanner) Cycle() cyclic.Cycle { return s.cycle }
 func (s *Scanner) Counters() *monitor.Counters { return &s.counters }
 
 // Progress returns the per-thread count of permutation elements consumed
-// so far. Feed it back via Config.ResumeProgress (with an identical
-// configuration) to continue an interrupted scan without re-probing.
+// so far: what checkpoints persist and Config.Resume restores.
 func (s *Scanner) Progress() []uint64 {
 	out := make([]uint64, len(s.progress))
 	for i := range s.progress {
@@ -967,12 +942,10 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 	order := s.space.Group().Order()
 	for t := 0; t < cfg.Threads; t++ {
 		base := shard.Plan(cfg.ShardMode, order, cfg.Shards, cfg.Threads, cfg.ShardIndex, t)
-		if cfg.ResumeProgress != nil {
-			done := cfg.ResumeProgress[t]
-			if done > base.Count {
-				done = base.Count
-			}
-			s.progress[t].Store(done)
+		if s.progress[t].Load() > base.Count {
+			// A resumed count past the end of the subshard is a finished
+			// thread.
+			s.progress[t].Store(base.Count)
 		}
 		wg.Add(1)
 		go func(t int, base shard.Assignment) {
@@ -1094,8 +1067,8 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 		"sent", meta.PacketsSent, "received", meta.PacketsRecv,
 		"successes", meta.UniqueSucc, "hitrate", meta.HitRate)
 	if n := abortedThreads.Load(); n > 0 {
-		// Metadata was still emitted and results closed: ThreadProgress
-		// in meta seeds a resumed scan over the uncovered remainder.
+		// Metadata was still emitted, results closed and the final
+		// checkpoint written: a scan resumed from it covers the remainder.
 		return meta, fmt.Errorf("%w (%d of %d threads)", ErrSenderAborted, n, cfg.Threads)
 	}
 	return meta, nil
@@ -1432,11 +1405,10 @@ type pendingElem struct {
 }
 
 // sendLoop walks one subshard through a batched, zero-allocation
-// pipeline: fill a ring of preallocated frames (template-rendered when
-// the module supports it), draw rate tokens in batch grants, flush via
-// SendBatch, then resolve progress. It owns its iterator and ring;
-// nothing is shared except the per-thread progress counter, which makes
-// the scan resumable.
+// pipeline: fill a ring of preallocated, template-rendered frames, draw
+// rate tokens in batch grants, flush via SendBatch, then resolve
+// progress. It owns its iterator and ring; nothing is shared except the
+// per-thread progress counter, which makes the scan resumable.
 //
 // Progress discipline: the thread's counter advances only after every
 // frame of an element has been handled by the transport (sent, or
@@ -1468,32 +1440,14 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 		batchCap = cfg.ProbesPerTarget
 	}
 
-	// Frame ring. With a Templater module the slots are fixed-length
-	// views into one backing array, seeded once and re-patched per
-	// target; otherwise each slot is a growable buffer MakeProbe fills
-	// from scratch (unbuildable probes are skipped at fill time and
-	// never enter the ring — so they never draw a rate token).
-	var renderer *probe.Renderer
-	if tm, ok := s.module.(probe.Templater); ok {
-		r, terr := tm.MakeTemplate(s.probeCtx)
-		if terr != nil {
-			cfg.Logger.Warn("probe template unavailable; using per-probe builds",
-				"thread", thread, "err", terr)
-		} else {
-			renderer = r
-		}
-	}
+	// Frame ring: fixed-length views into one backing array, seeded once
+	// from the probe template and re-patched per target.
+	renderer := s.renderer
 	slots := make([][]byte, batchCap)
-	if renderer != nil {
-		backing := make([]byte, batchCap*renderer.Len())
-		for i := range slots {
-			slots[i] = backing[i*renderer.Len() : (i+1)*renderer.Len()]
-			renderer.Seed(slots[i])
-		}
-	} else {
-		for i := range slots {
-			slots[i] = make([]byte, 0, 128)
-		}
+	backing := make([]byte, batchCap*renderer.Len())
+	for i := range slots {
+		slots[i] = backing[i*renderer.Len() : (i+1)*renderer.Len()]
+		renderer.Seed(slots[i])
 	}
 	frames := make([][]byte, 0, batchCap)
 	// frameKeys runs parallel to frames: the packed trace key of each
@@ -1573,35 +1527,19 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 			if tkey != 0 {
 				tsh.Record(trace.KProbeGen, ip, port, 0)
 			}
-			pe := pendingElem{counted: true}
 			for p := 0; p < cfg.ProbesPerTarget; p++ {
 				slot := slots[len(frames)]
-				if renderer != nil {
-					renderer.Render(slot, ip, port)
-				} else {
-					built, perr := s.module.MakeProbe(slot[:0], s.probeCtx, ip, port)
-					if perr != nil {
-						// Unbuildable probe: count it and move on. A
-						// partial frame must never reach the wire.
-						s.probeErrs.Add(1)
-						cfg.Logger.Debug("probe build failed",
-							"thread", thread, "ip", ip, "port", port, "err", perr)
-						continue
-					}
-					slots[len(frames)] = built // keep any growth
-					slot = built
-				}
+				renderer.Render(slot, ip, port)
 				frames = append(frames, slot)
 				frameKeys = append(frameKeys, tkey)
-				pe.frames++
 			}
-			if tkey != 0 && pe.frames > 0 {
-				tsh.Record(trace.KProbeRendered, ip, port, uint64(pe.frames))
+			if tkey != 0 {
+				tsh.Record(trace.KProbeRendered, ip, port, uint64(cfg.ProbesPerTarget))
 			}
-			if s.health != nil && pe.frames > 0 {
-				s.health.NoteSent(ip, uint64(pe.frames))
+			if s.health != nil {
+				s.health.NoteSent(ip, uint64(cfg.ProbesPerTarget))
 			}
-			pending = append(pending, pe)
+			pending = append(pending, pendingElem{frames: cfg.ProbesPerTarget, counted: true})
 		}
 
 		// Flush phase: tokens are drawn in batch grants and consumed only
@@ -1670,7 +1608,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 		}
 		chunk := frames[idx : idx+tokens]
 		t0 := time.Now()
-		sent, serr := sendFrames(s.transport, chunk)
+		sent, serr := s.transport.SendBatch(chunk)
 		// Amortize the call's latency across its attempts (delivered
 		// frames plus the failed one, if any), so the histogram keeps
 		// counting per-probe transport time as it did pre-batching.
@@ -1712,7 +1650,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 			return idx, sendFatal, serr
 		}
 		// The failing frame retries alone; the rest of the batch waits.
-		rout, rerr := s.retryFrame(ctx, frames[idx], keys[idx], tsh, sendLat, backoffLat)
+		rout, rerr := s.retryFrame(ctx, frames[idx:idx+1], keys[idx], tsh, sendLat, backoffLat)
 		switch rout {
 		case sendOK:
 			s.counters.Sent()
@@ -1739,8 +1677,10 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 // retryFrame re-attempts one frame whose batch attempt failed
 // transiently: up to cfg.Retries re-sends with bounded exponential
 // backoff (on cfg.Clock), identical to the historical per-probe retry
-// policy. The caller has already counted the triggering SendError.
-func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh *trace.Shard, lat, backoff *metrics.HistShard) (sendOutcome, error) {
+// policy. frame is the one-element window of the batch holding it, so a
+// retry is a batch of one and allocates nothing. The caller has already
+// counted the triggering SendError.
+func (s *Scanner) retryFrame(ctx context.Context, frame [][]byte, key uint64, tsh *trace.Shard, lat, backoff *metrics.HistShard) (sendOutcome, error) {
 	cfg := &s.cfg
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -1758,7 +1698,7 @@ func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh 
 		backoff.Record(d)
 		cfg.Clock.Sleep(d)
 		t0 := time.Now()
-		err = s.transport.Send(frame)
+		_, err = s.transport.SendBatch(frame)
 		lat.Record(time.Since(t0))
 		if err == nil {
 			return sendOK, nil
@@ -1772,16 +1712,15 @@ func (s *Scanner) retryFrame(ctx context.Context, frame []byte, key uint64, tsh 
 
 // recvLoop is the receive-side dispatcher: it blocks on the transport
 // for the first frame of a train, drains the rest of the train in one
-// non-blocking batch (RecvBatch when the transport implements it), and
-// fans the frames out to the pipeline workers by flow hash. It runs
-// until stop closes (end of cooldown) or the context dies; the deferred
-// shutdown flushes the workers and the merge writer, so every frame
-// read before return is fully processed and written.
+// non-blocking RecvBatch, and fans the frames out to the pipeline
+// workers by flow hash. It runs until stop closes (end of cooldown) or
+// the context dies; the deferred shutdown flushes the workers and the
+// merge writer, so every frame read before return is fully processed and
+// written.
 func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}, cooldownAt *atomic.Int64) {
 	p := s.recvPipe
 	p.start(cooldownAt)
 	defer p.shutdown()
-	br, _ := s.transport.(BatchReceiver)
 	recvCh := s.transport.Recv()
 	scratch := make([][]byte, recvBatchFrames)
 	fills := make([]*recvBatch, len(p.workers))
@@ -1795,21 +1734,7 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}, cooldownAt
 			// One clock read per train, shared by every frame in it.
 			t0 := time.Now()
 			scratch[0] = frame
-			n := 1
-			if br != nil {
-				n += br.RecvBatch(scratch[1:])
-			} else {
-			drain:
-				for n < len(scratch) {
-					select {
-					case f := <-recvCh:
-						scratch[n] = f
-						n++
-					default:
-						break drain
-					}
-				}
-			}
+			n := 1 + s.transport.RecvBatch(scratch[1:])
 			s.fanout(scratch[:n], fills, t0)
 		}
 	}
@@ -1873,7 +1798,6 @@ func (s *Scanner) buildMetadata() *output.Metadata {
 		RecvUnsupported:  snap.RecvUnsupported,
 		RecvChecksumFail: snap.RecvChecksum,
 		RecvInvalid:      snap.RecvInvalid,
-		ProbeBuildErrors: s.probeErrs.Load(),
 
 		Runs:           s.runs,
 		FirstStartTime: s.firstStart,

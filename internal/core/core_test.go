@@ -8,12 +8,24 @@ import (
 	"testing"
 	"time"
 
+	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/dedup"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/shard"
 	"zmapgo/internal/target"
+)
+
+// core.Transport and netsim.Transport are one contract declared twice
+// (netsim cannot import core): each must satisfy the other, and every
+// in-tree transport both.
+var (
+	_ Transport        = netsim.Transport(nil)
+	_ netsim.Transport = Transport(nil)
+	_ Transport        = (*netsim.Link)(nil)
+	_ Transport        = (*netsim.FaultyTransport)(nil)
+	_ Transport        = (*netsim.RecvFaultTransport)(nil)
 )
 
 // collectWriter accumulates records under a lock (the engine writes from
@@ -68,6 +80,13 @@ func testbed(t *testing.T, seed uint64, ports string) (netsimInternet *netsim.In
 		Results:      sink,
 	}
 	return in, cfg, sink
+}
+
+// resumeFrom is the resume record of an interrupted run: prev's
+// configuration fingerprint plus the per-thread progress it reported
+// (Metadata.ThreadProgress), as its final checkpoint would carry them.
+func resumeFrom(prev *Scanner, progress []uint64) *checkpoint.Snapshot {
+	return &checkpoint.Snapshot{Fingerprint: prev.Fingerprint(), Progress: progress}
 }
 
 // expectedHits counts loss-free SYN-ACK targets in the scanned range.
@@ -684,7 +703,7 @@ func TestResumeCoversExactlyOnce(t *testing.T) {
 	in2, cfg2, sink2 := testbed(t, 118, "80")
 	cfg2.Seed = cfg.Seed
 	cfg2.Threads = 4
-	cfg2.ResumeProgress = meta1.ThreadProgress
+	cfg2.Resume = resumeFrom(s1, meta1.ThreadProgress)
 	link2 := netsim.NewLink(in2, 1<<16, 0)
 	defer link2.Close()
 	s2, err := New(cfg2, link2)
@@ -718,23 +737,31 @@ func TestResumeCoversExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestResumeProgressValidation(t *testing.T) {
+func TestResumeRefusesWrongLengthProgress(t *testing.T) {
 	in, cfg, _ := testbed(t, 119, "80")
 	cfg.Threads = 4
-	cfg.ResumeProgress = []uint64{1, 2} // wrong length
 	link := netsim.NewLink(in, 16, 0)
 	defer link.Close()
+	s, err := New(cfg, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = resumeFrom(s, []uint64{1, 2}) // fingerprint says 4 threads
 	if _, err := New(cfg, link); err == nil {
-		t.Error("mismatched ResumeProgress length accepted")
+		t.Error("snapshot with mismatched progress length accepted")
 	}
 }
 
 func TestResumeBeyondEndIsEmpty(t *testing.T) {
 	in, cfg, _ := testbed(t, 120, "80")
 	cfg.Threads = 1
-	cfg.ResumeProgress = []uint64{1 << 40} // past the end
 	link := netsim.NewLink(in, 1<<12, 0)
 	defer link.Close()
+	s0, err := New(cfg, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = resumeFrom(s0, []uint64{1 << 40}) // past the end
 	s, err := New(cfg, link)
 	if err != nil {
 		t.Fatal(err)

@@ -253,7 +253,6 @@ func (s *Scanner) fanout(frames [][]byte, fills []*recvBatch, t0 time.Time) {
 // transport pool exactly once, after handleFrame is done with it.
 func (w *recvWorker) run(p *recvPipeline, cooldownAt *atomic.Int64) {
 	s := p.s
-	rel, _ := s.transport.(FrameReleaser)
 	for {
 		msg := <-w.inbox
 		switch {
@@ -272,9 +271,7 @@ func (w *recvWorker) run(p *recvPipeline, cooldownAt *atomic.Int64) {
 				if s.handleFrame(w, frame, b.t0, cooldownAt) {
 					classified++
 				}
-				if rel != nil {
-					rel.Release(frame)
-				}
+				s.transport.Release(frame)
 			}
 			if classified > 0 {
 				// One clock read per batch, amortized across the frames

@@ -8,12 +8,16 @@ import (
 	"time"
 )
 
-// Transport is the subset of the engine's transport contract the fault
-// injector decorates. Declared locally so netsim does not import the
-// engine package (the engine imports netsim in its tests).
+// Transport is the engine's transport contract (core.Transport, which
+// documents it), declared locally so netsim does not import the engine
+// package (the engine imports netsim in its tests). Link implements it;
+// the fault injectors embed one and override only what they fault, so
+// they stack in any order.
 type Transport interface {
-	Send(frame []byte) error
+	SendBatch(frames [][]byte) (sent int, err error)
 	Recv() <-chan []byte
+	RecvBatch(dst [][]byte) int
+	Release(frame []byte)
 	Stats() (sent, received, dropped uint64)
 }
 
@@ -84,11 +88,13 @@ type FaultConfig struct {
 	StallFor   time.Duration
 }
 
-// FaultyTransport wraps a Transport and injects failures per a
-// deterministic FaultConfig. Receive and stats pass through untouched.
+// FaultyTransport wraps a Transport and injects send failures per a
+// deterministic FaultConfig. Receive, release and stats are the wrapped
+// transport's own; injected failures never reach it, so its sent count
+// reflects real deliveries.
 type FaultyTransport struct {
-	inner Transport
-	cfg   FaultConfig
+	Transport
+	cfg FaultConfig
 
 	attemptCount atomic.Uint64 // all attempts, success or not
 	injected     atomic.Uint64 // attempts that were failed
@@ -100,9 +106,9 @@ type FaultyTransport struct {
 // NewFaultyTransport decorates inner with the given fault schedule.
 func NewFaultyTransport(inner Transport, cfg FaultConfig) *FaultyTransport {
 	return &FaultyTransport{
-		inner:    inner,
-		cfg:      cfg,
-		perFrame: make(map[uint64]int),
+		Transport: inner,
+		cfg:       cfg,
+		perFrame:  make(map[uint64]int),
 	}
 }
 
@@ -112,9 +118,10 @@ func (f *FaultyTransport) frameHash(frame []byte) uint64 {
 	return schedFrameHash(f.cfg.Seed, frame)
 }
 
-// Send applies the fault schedule, forwarding to the wrapped transport
-// only when no fault fires. Safe for concurrent use.
-func (f *FaultyTransport) Send(frame []byte) error {
+// fault counts one send attempt of frame against the schedule and
+// returns the failure it injects, or nil when the attempt goes through.
+// Safe for concurrent use.
+func (f *FaultyTransport) fault(frame []byte) error {
 	attempt := f.attemptCount.Add(1) // 1-based
 
 	if f.cfg.StallEvery > 0 && attempt%uint64(f.cfg.StallEvery) == 0 && f.cfg.StallFor > 0 {
@@ -151,65 +158,26 @@ func (f *FaultyTransport) Send(frame []byte) error {
 			return transientErr("probabilistic transient fault")
 		}
 	}
-
-	return f.inner.Send(frame)
+	return nil
 }
 
-// batchSender and releaser mirror the engine's optional transport
-// extensions, declared locally for the same no-import reason as
-// Transport above.
-type batchSender interface {
-	SendBatch(frames [][]byte) (int, error)
-}
-
-type releaser interface {
-	Release(frame []byte)
-}
-
-type batchReceiver interface {
-	RecvBatch(dst [][]byte) int
-}
-
-// SendBatch applies the fault schedule frame by frame, so a batch
-// observes exactly the faults the same frames would see through Send:
-// per-frame schedules (FailFirstN), attempt-ordinal schedules
-// (FailFirstSends, FatalAfter, StallEvery), and probabilistic faults
-// all count each frame as one attempt. The first fault splits the
-// batch: frames[:sent] were delivered, the failing frame was not.
+// SendBatch applies the fault schedule frame by frame, forwarding each
+// frame to the wrapped transport only when no fault fires: per-frame
+// schedules (FailFirstN), attempt-ordinal schedules (FailFirstSends,
+// FatalAfter, StallEvery), and probabilistic faults all count each frame
+// as one attempt, whatever the batch size. The first fault splits the
+// batch: frames[:sent] were delivered, the failing frame was not, the
+// rest were not attempted.
 func (f *FaultyTransport) SendBatch(frames [][]byte) (int, error) {
-	for i, frame := range frames {
-		if err := f.Send(frame); err != nil {
+	for i := range frames {
+		if err := f.fault(frames[i]); err != nil {
+			return i, err
+		}
+		if _, err := f.Transport.SendBatch(frames[i : i+1]); err != nil {
 			return i, err
 		}
 	}
 	return len(frames), nil
-}
-
-// Release forwards received-frame buffers to the inner transport's
-// pool, when it has one.
-func (f *FaultyTransport) Release(frame []byte) {
-	if r, ok := f.inner.(releaser); ok {
-		r.Release(frame)
-	}
-}
-
-// Recv passes through to the wrapped transport.
-func (f *FaultyTransport) Recv() <-chan []byte { return f.inner.Recv() }
-
-// RecvBatch passes through to the wrapped transport's batch receive
-// when it has one; otherwise it reports zero frames queued, which
-// degrades the caller to per-frame Recv with unchanged semantics.
-func (f *FaultyTransport) RecvBatch(dst [][]byte) int {
-	if br, ok := f.inner.(batchReceiver); ok {
-		return br.RecvBatch(dst)
-	}
-	return 0
-}
-
-// Stats passes through to the wrapped transport; injected failures never
-// reach the inner link, so its sent count reflects real deliveries.
-func (f *FaultyTransport) Stats() (sent, received, dropped uint64) {
-	return f.inner.Stats()
 }
 
 // Injected returns how many send attempts the fault schedule failed.

@@ -14,13 +14,15 @@ type nullTransport struct {
 	ch    chan []byte
 }
 
-func (n *nullTransport) Send(frame []byte) error {
+func (n *nullTransport) SendBatch(frames [][]byte) (int, error) {
 	n.mu.Lock()
-	n.sends++
+	n.sends += len(frames)
 	n.mu.Unlock()
-	return nil
+	return len(frames), nil
 }
 func (n *nullTransport) Recv() <-chan []byte                 { return n.ch }
+func (n *nullTransport) RecvBatch([][]byte) int              { return 0 }
+func (n *nullTransport) Release([]byte)                      {}
 func (n *nullTransport) Stats() (sent, recv, dropped uint64) { return 0, 0, 0 }
 
 func (n *nullTransport) count() int {
@@ -29,21 +31,27 @@ func (n *nullTransport) count() int {
 	return n.sends
 }
 
+// send1 sends one frame as a batch of one.
+func send1(tr Transport, frame []byte) error {
+	_, err := tr.SendBatch([][]byte{frame})
+	return err
+}
+
 func TestFaultyFailFirstNPerFrame(t *testing.T) {
 	inner := &nullTransport{}
 	ft := NewFaultyTransport(inner, FaultConfig{FailFirstN: 2})
 	frameA := []byte("frame-a")
 	frameB := []byte("frame-b")
 	for i := 0; i < 2; i++ {
-		if err := ft.Send(frameA); err == nil {
+		if err := send1(ft, frameA); err == nil {
 			t.Fatalf("attempt %d of frameA succeeded, want transient fault", i+1)
 		}
 	}
-	if err := ft.Send(frameA); err != nil {
+	if err := send1(ft, frameA); err != nil {
 		t.Fatalf("attempt 3 of frameA failed: %v", err)
 	}
 	// frameB has its own schedule regardless of interleaving.
-	if err := ft.Send(frameB); err == nil {
+	if err := send1(ft, frameB); err == nil {
 		t.Fatal("first attempt of frameB succeeded, want fault")
 	}
 	if inner.count() != 1 {
@@ -56,7 +64,7 @@ func TestFaultyFailFirstNPerFrame(t *testing.T) {
 
 func TestFaultyTransientErrorClass(t *testing.T) {
 	ft := NewFaultyTransport(&nullTransport{}, FaultConfig{FailFirstN: 1})
-	err := ft.Send([]byte("x"))
+	err := send1(ft, []byte("x"))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -73,11 +81,11 @@ func TestFaultyFatalAfter(t *testing.T) {
 	inner := &nullTransport{}
 	ft := NewFaultyTransport(inner, FaultConfig{FatalAfter: 3})
 	for i := 0; i < 3; i++ {
-		if err := ft.Send([]byte{byte(i)}); err != nil {
+		if err := send1(ft, []byte{byte(i)}); err != nil {
 			t.Fatalf("send %d failed early: %v", i, err)
 		}
 	}
-	err := ft.Send([]byte("doomed"))
+	err := send1(ft, []byte("doomed"))
 	if err == nil {
 		t.Fatal("send after FatalAfter succeeded")
 	}
@@ -98,7 +106,7 @@ func TestFaultyTransientProbDeterministic(t *testing.T) {
 		ft := NewFaultyTransport(&nullTransport{}, FaultConfig{Seed: seed, TransientProb: 0.5})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = ft.Send([]byte{byte(i), byte(i >> 8)}) != nil
+			out[i] = send1(ft, []byte{byte(i), byte(i >> 8)}) != nil
 		}
 		return out
 	}
@@ -132,7 +140,7 @@ func TestFaultyFailFirstSendsBurst(t *testing.T) {
 	ft := NewFaultyTransport(inner, FaultConfig{FailFirstSends: 5})
 	var errs int
 	for i := 0; i < 10; i++ {
-		if ft.Send([]byte{byte(i)}) != nil {
+		if send1(ft, []byte{byte(i)}) != nil {
 			errs++
 		}
 	}
@@ -145,7 +153,7 @@ func TestFaultyZeroConfigPassesThrough(t *testing.T) {
 	inner := &nullTransport{}
 	ft := NewFaultyTransport(inner, FaultConfig{})
 	for i := 0; i < 100; i++ {
-		if err := ft.Send([]byte{byte(i)}); err != nil {
+		if err := send1(ft, []byte{byte(i)}); err != nil {
 			t.Fatalf("zero-config fault injected: %v", err)
 		}
 	}

@@ -91,7 +91,7 @@ func TestDuplicateFaultDeliversDistinctBuffers(t *testing.T) {
 			break
 		}
 	}
-	if err := ft.Send(buildSYNProbe(ip, 80, packet.LayoutMSS)); err != nil {
+	if err := send1(ft, buildSYNProbe(ip, 80, packet.LayoutMSS)); err != nil {
 		t.Fatal(err)
 	}
 	a := <-ft.Recv()

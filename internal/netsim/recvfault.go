@@ -84,13 +84,15 @@ func (c RecvFaultConfig) enabled() bool {
 }
 
 // RecvFaultTransport decorates a Transport's receive path with seeded
-// fault injection; the send path and stats pass through untouched. A
-// single pump goroutine owns the RNG and the output channel, so the
-// schedule is deterministic for a given traffic order.
+// fault injection; the send path, release and stats are the wrapped
+// transport's own. A single pump goroutine owns the RNG and the output
+// channel, so the schedule is deterministic for a given traffic order.
+// The injector's own emissions (spoofs, duplicate copies) come from the
+// pool Link releases into, so everything it delivers releases uniformly.
 type RecvFaultTransport struct {
-	inner Transport
-	cfg   RecvFaultConfig
-	out   chan []byte
+	Transport
+	cfg RecvFaultConfig
+	out chan []byte
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -107,39 +109,13 @@ func NewRecvFaultTransport(inner Transport, cfg RecvFaultConfig) *RecvFaultTrans
 		cfg.ReorderDelay = 2 * time.Millisecond
 	}
 	t := &RecvFaultTransport{
-		inner: inner,
-		cfg:   cfg,
-		out:   make(chan []byte, 4096),
-		stop:  make(chan struct{}),
+		Transport: inner,
+		cfg:       cfg,
+		out:       make(chan []byte, 4096),
+		stop:      make(chan struct{}),
 	}
 	go t.pump()
 	return t
-}
-
-// Send passes through to the wrapped transport.
-func (t *RecvFaultTransport) Send(frame []byte) error { return t.inner.Send(frame) }
-
-// SendBatch passes through, preserving the inner transport's batch
-// fault semantics (or falling back to per-frame sends).
-func (t *RecvFaultTransport) SendBatch(frames [][]byte) (int, error) {
-	if bs, ok := t.inner.(batchSender); ok {
-		return bs.SendBatch(frames)
-	}
-	for i, frame := range frames {
-		if err := t.inner.Send(frame); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
-}
-
-// Release forwards received-frame buffers toward the owning pool. The
-// injector's own emissions (spoofs, duplicate copies) come from the
-// same pool, so everything it delivers releases uniformly.
-func (t *RecvFaultTransport) Release(frame []byte) {
-	if r, ok := t.inner.(releaser); ok {
-		r.Release(frame)
-	}
 }
 
 // Recv returns the fault-injected response stream.
@@ -161,11 +137,6 @@ func (t *RecvFaultTransport) RecvBatch(dst [][]byte) int {
 		}
 	}
 	return n
-}
-
-// Stats passes through to the wrapped transport.
-func (t *RecvFaultTransport) Stats() (sent, received, dropped uint64) {
-	return t.inner.Stats()
 }
 
 // Stop ends the pump goroutine. Frames already in flight (reorder
@@ -192,7 +163,7 @@ func (t *RecvFaultTransport) pump() {
 		select {
 		case <-t.stop:
 			return
-		case frame := <-t.inner.Recv():
+		case frame := <-t.Transport.Recv():
 			t.process(rng, frame)
 		}
 	}

@@ -13,8 +13,13 @@ type chanTransport struct {
 	sent uint64
 }
 
-func (c *chanTransport) Send(frame []byte) error { c.sent++; return nil }
-func (c *chanTransport) Recv() <-chan []byte     { return c.ch }
+func (c *chanTransport) SendBatch(frames [][]byte) (int, error) {
+	c.sent += uint64(len(frames))
+	return len(frames), nil
+}
+func (c *chanTransport) Recv() <-chan []byte    { return c.ch }
+func (c *chanTransport) RecvBatch([][]byte) int { return 0 }
+func (c *chanTransport) Release([]byte)         {}
 func (c *chanTransport) Stats() (uint64, uint64, uint64) {
 	return c.sent, uint64(len(c.ch)), 0
 }

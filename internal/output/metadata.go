@@ -74,13 +74,11 @@ type Metadata struct {
 
 	// Receive-path fault accounting: frames rejected before producing a
 	// result, by failure class (parser truncation, unsupported protocol,
-	// checksum failure, validation/classification refusal). Probes the
-	// engine could not build at all are counted as probe_build_errors.
+	// checksum failure, validation/classification refusal).
 	RecvTruncated    uint64 `json:"recv_truncated"`
 	RecvUnsupported  uint64 `json:"recv_unsupported"`
 	RecvChecksumFail uint64 `json:"recv_checksum_fail"`
 	RecvInvalid      uint64 `json:"recv_invalid"`
-	ProbeBuildErrors uint64 `json:"probe_build_errors"`
 
 	// Scan-health accounting: the closed-loop rate controller's final
 	// state, validated ICMP unreachables observed, and the interference

@@ -1,10 +1,24 @@
 package probe
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"zmapgo/internal/packet"
 )
+
+// withIPOptions returns the IPv4 packet pkt with four bytes of options
+// spliced in behind its fixed header: IHL 6, total length grown to
+// match. Checksums go stale, which FuzzValidate's unverified parse does
+// not mind.
+func withIPOptions(pkt []byte) []byte {
+	out := append([]byte(nil), pkt[:packet.IPv4HeaderLen]...)
+	out = append(out, 1, 1, 1, 0) // NOP NOP NOP EOL
+	out = append(out, pkt[packet.IPv4HeaderLen:]...)
+	out[0] = 0x46
+	binary.BigEndian.PutUint16(out[2:4], binary.BigEndian.Uint16(out[2:4])+4)
+	return out
+}
 
 // FuzzValidate feeds arbitrary frames through the full
 // parse-then-classify pipeline of every registered probe module: the
@@ -13,7 +27,10 @@ import (
 // scanner; and an accepted result names either the frame's own source or,
 // for a port-unreach, the target of a quote that is the head of a probe
 // this scan would send — so no input the fuzzer can construct writes a
-// row for a flow it holds no validation word for.
+// row for a flow it holds no validation word for. And packet.FlowKey,
+// which reads the raw frame ahead of the parser to pick the dedup shard,
+// never panics and names the flow the classifier does, or a response
+// would meet the wrong shard's window.
 func FuzzValidate(f *testing.F) {
 	ctx := testContext()
 	// True positive: the simulator-shaped SYN-ACK a live host would send
@@ -52,10 +69,17 @@ func FuzzValidate(f *testing.F) {
 	forged := append([]byte(nil), quote...)
 	forged[packet.IPv4HeaderLen+1] ^= 1
 	f.Add(appendUnreach(ctx, 0x0A0000FE, forged))
+	// The same error with IP options in the quote, and in its own header:
+	// both move the ports FlowKey and the classifier must agree on.
+	f.Add(appendUnreach(ctx, 0x0A0000FE, withIPOptions(quote)))
+	unreach := appendUnreach(ctx, 0x0A0000FE, quote)
+	f.Add(append(unreach[:packet.EthernetHeaderLen:packet.EthernetHeaderLen],
+		withIPOptions(unreach[packet.EthernetHeaderLen:])...))
 
 	mods := allModules(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		keyIP, keyPort := packet.FlowKey(data)
 		frame, err := packet.Parse(data)
 		if err != nil {
 			return // parser rejections are FuzzParse's concern
@@ -64,6 +88,10 @@ func FuzzValidate(f *testing.F) {
 			res, ok := m.Classify(ctx, frame)
 			if !ok {
 				continue
+			}
+			if keyIP != res.IP || keyPort != res.Port {
+				t.Fatalf("%s classified (%08x, %d) but FlowKey sharded the frame by (%08x, %d)",
+					m.Name(), res.IP, res.Port, keyIP, keyPort)
 			}
 			if frame.IP.Dst != ctx.SrcIP {
 				t.Fatalf("%s accepted a frame not addressed to the scanner (dst %08x)", m.Name(), frame.IP.Dst)

@@ -89,9 +89,12 @@ type Module interface {
 	Name() string
 	// MakeProbe appends a complete Ethernet frame probing (ip, port). A
 	// non-nil error means the frame could not be built (e.g. a malformed
-	// option layout); the engine counts and skips such probes rather
-	// than sending a partial frame.
+	// option layout). The engine never calls it per target: it builds the
+	// template's prototype frame, and it is the oracle the template tests
+	// compare Render against.
 	MakeProbe(buf []byte, ctx *Context, ip uint32, port uint16) ([]byte, error)
+	// Templater is how the engine builds every probe it sends.
+	Templater
 	// Classify validates a parsed inbound frame against the scan
 	// context. ok is false for frames that are not valid responses to
 	// this scan (wrong validation bytes, irrelevant traffic).

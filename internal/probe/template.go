@@ -2,31 +2,30 @@ package probe
 
 import "zmapgo/internal/packet"
 
-// Template rendering for the batched send path (§4.3). Instead of
-// rebuilding every frame with MakeProbe, a sender thread obtains a
-// Renderer once, seeds its preallocated frame ring from the template,
-// and calls Render per target. Render computes the flow's validation
-// word — one AES block, the same one MakeProbe and Classify compute —
-// reads sequence, acknowledgment, source port, IP ID and ICMP id/seq
-// from it and rewrites them in place via the packet.Patch* helpers, so
-// the steady state allocates nothing.
+// Template rendering is the send path's probe builder (§4.3). Instead of
+// rebuilding every frame with MakeProbe, the engine obtains a Renderer
+// once per scan; each sender thread seeds its preallocated frame ring
+// from the template and calls Render per target. Render computes the
+// flow's validation word — one AES block, the same one MakeProbe and
+// Classify compute — reads sequence, acknowledgment, source port, IP ID
+// and ICMP id/seq from it and rewrites them in place via the
+// packet.Patch* helpers, so the steady state allocates nothing.
 //
 // The prototype frame is built by the module's own MakeProbe, which
 // guarantees the invariant bytes (MACs, TTL, option layout, flags,
-// payload) are exactly what the per-probe path would emit; the
+// payload) are exactly what a from-scratch build would emit; the
 // property test in template_test.go pins byte-for-byte equivalence.
 
-// Templater is an optional interface probe modules implement to
-// support template rendering. The engine falls back to per-probe
-// MakeProbe for modules that do not.
+// Templater is the template half of Module, under its own name for
+// callers that need only a Renderer.
 type Templater interface {
-	// MakeTemplate builds a renderer for one sender thread. A Renderer
-	// holds no mutable state, but each thread renders into its own
-	// frames.
+	// MakeTemplate builds the scan's renderer. A Renderer holds no
+	// mutable state, so sender threads share it; each renders into its
+	// own frames.
 	MakeTemplate(ctx *Context) (*Renderer, error)
 }
 
-// Renderer retargets seeded probe frames for one sender thread.
+// Renderer retargets seeded probe frames.
 type Renderer struct {
 	tpl   *packet.Template
 	ctx   *Context

@@ -46,11 +46,7 @@ func TestRenderMatchesMakeProbe(t *testing.T) {
 					name := fmt.Sprintf("%s/%v/random_ipid=%v/sports=%d", m.Name(), layout, randomIPID, sportCount)
 					t.Run(name, func(t *testing.T) {
 						ctx := templateTestContext(t, layout, randomIPID, sportCount)
-						tm, ok := m.(Templater)
-						if !ok {
-							t.Fatalf("%s does not implement Templater", m.Name())
-						}
-						r, err := tm.MakeTemplate(ctx)
+						r, err := m.MakeTemplate(ctx)
 						if err != nil {
 							t.Fatalf("MakeTemplate: %v", err)
 						}
@@ -92,7 +88,7 @@ func TestRenderZeroAllocs(t *testing.T) {
 	for _, m := range []Module{SYNScan{}, SYNACKScan{}, ICMPEchoScan{}, UDPScan{}} {
 		t.Run(m.Name(), func(t *testing.T) {
 			ctx := templateTestContext(t, packet.LayoutLinux, true, 256)
-			r, err := m.(Templater).MakeTemplate(ctx)
+			r, err := m.MakeTemplate(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

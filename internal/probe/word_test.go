@@ -116,7 +116,7 @@ func TestOneWordPerPacket(t *testing.T) {
 			ctx := templateTestContext(t, packet.LayoutMSS, true, 256)
 			var n counter
 			ctx.Validator.Instrument(&n)
-			r, err := m.(Templater).MakeTemplate(ctx)
+			r, err := m.MakeTemplate(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestRoundTripAndBitFlips(t *testing.T) {
 	for _, m := range allModules(t) {
 		t.Run(m.Name(), func(t *testing.T) {
 			ctx := templateTestContext(t, packet.LayoutMSS, true, 256)
-			r, err := m.(Templater).MakeTemplate(ctx)
+			r, err := m.MakeTemplate(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,8 +92,9 @@ func (h *Hitlist) Len() int { return len(h.addrs) }
 // At returns the i-th address.
 func (h *Hitlist) At(i int) [16]byte { return h.addrs[i] }
 
-// Transport matches the v4 engine's wire interface, including its
-// fallible Send contract.
+// Transport is this engine's own per-frame wire interface, with the
+// fallible send the v4 engine's batched contract (core.Transport) also
+// has; netsim.Link satisfies both.
 type Transport interface {
 	Send(frame []byte) error
 	Recv() <-chan []byte

@@ -23,8 +23,10 @@ else
     echo "staticcheck not installed; skipping (CI runs the pinned version)"
 fi
 
-echo "==> go test -race ./..."
-go test -race ./...
+# -count=1: CI's runner is cold, a developer's cache is not, and a cached
+# pass hides a flaky test.
+echo "==> go test -race -count=1 ./..."
+go test -race -count=1 ./...
 
 echo "==> checkpoint round-trip (interrupt, resume, exactly-once)"
 go test -race -count=1 -run 'TestCLISigintCheckpointResume|TestCheckpointResumeExactlyOnce' \

@@ -43,15 +43,21 @@ func NewInternet(opts SimOptions) *Internet {
 // ring (0 = 4096); timeScale compresses simulated RTTs into wall time
 // (0 delivers instantly, 1 is real time). Close it when done.
 func (i *Internet) NewLink(buffer int, timeScale float64) *Link {
-	return &Link{inner: netsim.NewLink(i.inner, buffer, timeScale)}
+	inner := netsim.NewLink(i.inner, buffer, timeScale)
+	return &Link{Transport: inner, inner: inner}
 }
 
-// Link is a simulated network attachment implementing Transport. A
-// fault schedule (see NewFaultyLink) can sit between the scanner and the
-// simulated wire to exercise the engine's retry and supervision paths.
+// Link is a simulated network attachment implementing Transport. Fault
+// injectors (see NewFaultyLink, WithRecvFaults) can sit between the
+// scanner and the simulated wire to exercise the engine's retry,
+// supervision and receive-hardening paths; each wraps whatever is on top
+// of the stack, so they compose in either order.
 type Link struct {
-	inner *netsim.Link
-	send  netsim.Transport           // inner, possibly wrapped by a fault injector
+	// Transport is the top of the stack: inner, or the outermost
+	// injector over it.
+	netsim.Transport
+
+	inner *netsim.Link               // the simulated wire at the bottom
 	recv  *netsim.RecvFaultTransport // non-nil when receive faults are on
 }
 
@@ -111,11 +117,7 @@ func (l *Link) WithRecvFaults(opts RecvFaultOptions) *Link {
 	if !opts.enabled() {
 		return l
 	}
-	var under netsim.Transport = l.inner
-	if l.send != nil {
-		under = l.send
-	}
-	l.recv = netsim.NewRecvFaultTransport(under, netsim.RecvFaultConfig{
+	l.recv = netsim.NewRecvFaultTransport(l.Transport, netsim.RecvFaultConfig{
 		Seed:          opts.Seed,
 		TruncateProb:  opts.TruncateProb,
 		CorruptProb:   opts.CorruptProb,
@@ -124,6 +126,7 @@ func (l *Link) WithRecvFaults(opts RecvFaultOptions) *Link {
 		ReorderDelay:  opts.ReorderDelay,
 		SpoofProb:     opts.SpoofProb,
 	})
+	l.Transport = l.recv
 	return l
 }
 
@@ -233,19 +236,17 @@ func (l *Link) CongestionStats() (dropped, icmpSent, darkDropped uint64) {
 // deterministic schedule. Responses to probes that do get through are
 // delivered normally.
 func (i *Internet) NewFaultyLink(buffer int, timeScale float64, faults FaultOptions) *Link {
-	inner := netsim.NewLink(i.inner, buffer, timeScale)
-	return &Link{
-		inner: inner,
-		send: netsim.NewFaultyTransport(inner, netsim.FaultConfig{
-			Seed:           faults.Seed,
-			FailFirstN:     faults.FailFirstN,
-			TransientProb:  faults.TransientProb,
-			FailFirstSends: faults.FailFirstSends,
-			FatalAfter:     faults.FatalAfter,
-			StallEvery:     faults.StallEvery,
-			StallFor:       faults.StallFor,
-		}),
-	}
+	l := i.NewLink(buffer, timeScale)
+	l.Transport = netsim.NewFaultyTransport(l.Transport, netsim.FaultConfig{
+		Seed:           faults.Seed,
+		FailFirstN:     faults.FailFirstN,
+		TransientProb:  faults.TransientProb,
+		FailFirstSends: faults.FailFirstSends,
+		FatalAfter:     faults.FatalAfter,
+		StallEvery:     faults.StallEvery,
+		StallFor:       faults.StallFor,
+	})
+	return l
 }
 
 // SetSimDelayRecorder attaches a recorder for each scheduled response's
@@ -261,58 +262,6 @@ func (l *Link) SetSimDelayRecorder(r interface{ Record(d time.Duration) }) {
 func (l *Link) SetWeatherObserver(obs netsim.WeatherObserver) {
 	l.inner.SetWeatherObserver(obs)
 }
-
-// Send implements Transport.
-func (l *Link) Send(frame []byte) error {
-	if l.send != nil {
-		return l.send.Send(frame)
-	}
-	return l.inner.Send(frame)
-}
-
-// SendBatch implements the engine's BatchTransport extension, routing
-// through the fault injector when one is attached so every frame in a
-// batch observes its scheduled faults.
-func (l *Link) SendBatch(frames [][]byte) (int, error) {
-	if l.send != nil {
-		if bs, ok := l.send.(interface {
-			SendBatch(frames [][]byte) (int, error)
-		}); ok {
-			return bs.SendBatch(frames)
-		}
-		for i, frame := range frames {
-			if err := l.send.Send(frame); err != nil {
-				return i, err
-			}
-		}
-		return len(frames), nil
-	}
-	return l.inner.SendBatch(frames)
-}
-
-// Release returns a received frame's buffer to the simulator's pool.
-func (l *Link) Release(frame []byte) { netsim.PutFrame(frame) }
-
-// Recv implements Transport.
-func (l *Link) Recv() <-chan []byte {
-	if l.recv != nil {
-		return l.recv.Recv()
-	}
-	return l.inner.Recv()
-}
-
-// RecvBatch implements the engine's BatchReceiver extension, draining
-// whichever stream Recv serves — the fault injector's output when one
-// is attached, the raw link otherwise.
-func (l *Link) RecvBatch(dst [][]byte) int {
-	if l.recv != nil {
-		return l.recv.RecvBatch(dst)
-	}
-	return l.inner.RecvBatch(dst)
-}
-
-// Stats implements Transport.
-func (l *Link) Stats() (sent, received, dropped uint64) { return l.inner.Stats() }
 
 // Drain blocks until in-flight simulated deliveries complete.
 func (l *Link) Drain() { l.inner.Drain() }

@@ -55,15 +55,17 @@ func WriteMetrics(w io.Writer, reg *MetricsRegistry) error {
 // Version is the library version (semantic versioning, per §5).
 const Version = core.Version
 
-// Transport moves frames between the scanner and a network. It is
-// satisfied by the simulated link returned from Internet.NewLink. Send
-// may fail; see ErrSenderAborted for how unrecoverable failures surface.
+// Transport moves batches of frames between the scanner and a network.
+// It is satisfied by the simulated link returned from Internet.NewLink.
+// SendBatch may fail; see ErrSenderAborted for how unrecoverable
+// failures surface.
 type Transport = core.Transport
 
 // ErrSenderAborted is returned (wrapped) by Scanner.Run when sender
 // threads died on fatal transport errors and exhausted their restart
-// budget. The Summary is still returned and its ThreadProgress can seed
-// Options.ResumeProgress to finish the scan.
+// budget. The Summary is still returned, and with Options.CheckpointPath
+// set the final checkpoint is exact: load it into Options.Resume to
+// finish the scan.
 var ErrSenderAborted = core.ErrSenderAborted
 
 // Summary is the end-of-scan metadata document.
@@ -202,12 +204,6 @@ type Options struct {
 	// panics or fatal transport errors (0 = default 2, negative = none).
 	MaxSenderRestarts int
 
-	// ResumeProgress continues an interrupted scan from the per-thread
-	// element counts in the previous run's Summary.ThreadProgress. All
-	// permutation-affecting options (Seed, Shards, ShardIndex, Threads,
-	// sharding mode, ranges, ports) must match the original run.
-	ResumeProgress []uint64
-
 	// CheckpointPath makes the scan crash-safe: a snapshot of scan state
 	// is written atomically to this file every CheckpointInterval
 	// (default 5s) and once more, exactly, at the end of the scan or on
@@ -219,7 +215,7 @@ type Options struct {
 	// Resume restores an interrupted scan from a checkpoint. The
 	// snapshot's fingerprint must match this configuration (Compile
 	// fails with ErrCheckpointMismatch otherwise); a zero Seed is
-	// adopted from the snapshot. Overrides ResumeProgress.
+	// adopted from the snapshot.
 	Resume *Checkpoint
 
 	// DedupWindow sizes response deduplication (0 = default 10^6,
@@ -373,7 +369,6 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		Retries:             o.Retries,
 		Backoff:             o.Backoff,
 		MaxSenderRestarts:   o.MaxSenderRestarts,
-		ResumeProgress:      o.ResumeProgress,
 		CheckpointPath:      o.CheckpointPath,
 		CheckpointInterval:  o.CheckpointInterval,
 		Resume:              o.Resume,

@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// The sim link, with whatever injectors are stacked on it, is a Transport.
+var _ Transport = (*Link)(nil)
+
 func quickScan(t *testing.T, opts Options) (*Summary, *Internet) {
 	t.Helper()
 	in := NewInternet(SimOptions{Seed: 500, Lossless: true, DisableBlowback: true})
