@@ -20,84 +20,48 @@ import (
 // merge of the results.
 func runFleet(args []string) int {
 	fs := flag.NewFlagSet("zmapgo fleet", flag.ContinueOnError)
+	// Every flag is bound to the FleetOptions field it sets; the scan's
+	// own flags come from the table `zmapgo` registers too.
+	var opts zmap.FleetOptions
+	loadScan := scanFlags(fs, &opts.Scan)
+	fs.IntVar(&opts.Workers, "workers", 2, "worker processes (= pizza shards)")
+	fs.StringVar(&opts.Dir, "fleet-dir", "", "fleet state directory (default: a fresh temp dir; reuse to resume)")
+	fs.StringVar(&opts.MergedOutput, "o", "", "merged output file (default <fleet-dir>/merged.<ext>)")
+	fs.StringVar(&opts.MetadataPath, "metadata-file", "", "fleet summary JSON (default <fleet-dir>/fleet-metadata.json, - = off)")
+	fs.StringVar(&opts.TracePath, "trace-file", "", "coordinator decision journal JSONL (default <fleet-dir>/fleet-trace.jsonl, - = off)")
+	fs.DurationVar(&opts.LeaseTTL, "lease-ttl", 0, "worker heartbeat lease TTL; a shard silent this long is reclaimed (0 = 2s)")
+	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat-interval", 0, "worker lease renewal period (0 = TTL/4)")
+	fs.DurationVar(&opts.CheckpointInterval, "checkpoint-interval", 0, "per-worker checkpoint snapshot period (0 = 500ms)")
+	fs.IntVar(&opts.MaxRespawns, "max-respawns", 0, "respawn budget per shard before the fleet fails (0 = default 5, negative = none)")
+	fs.DurationVar(&opts.RespawnBackoff, "respawn-backoff", 0, "initial respawn backoff, doubled per reclaim (0 = 100ms)")
+	fs.StringVar(&opts.Listen, "listen", "", "serve the control plane over HTTP on this host:port instead of the shared filesystem (port 0 = pick)")
+	fs.StringVar(&opts.Advertise, "advertise", "", "control-plane URL published to workers (default http://<bound address>)")
+	fs.StringVar(&opts.JoinToken, "join-token", "", "shared token required on every worker RPC (with --listen)")
+	fs.BoolVar(&opts.RemoteWorkers, "remote-workers", false, "do not spawn local workers; offer grants to `zmapgo fleet-worker --join` processes (requires --listen)")
+	fs.Uint64Var(&opts.Sim.Seed, "sim-seed", 1, "simulated-Internet population seed (identical in every worker)")
+	fs.BoolVar(&opts.Sim.Lossless, "sim-lossless", false, "disable simulated packet loss")
+	fs.Float64Var(&opts.SimTimeScale, "sim-time-scale", 1e-3, "RTT compression factor for the simulated links")
 	var (
-		workers     = fs.Int("workers", 2, "worker processes (= pizza shards)")
-		fleetDir    = fs.String("fleet-dir", "", "fleet state directory (default: a fresh temp dir; reuse to resume)")
-		ports       = fs.String("p", "80", "ports to scan (ZMap syntax: 80,443 or 8000-8100 or *)")
-		ranges      = fs.String("r", "", "comma-separated target CIDRs (default: all IPv4)")
-		blocklist   = fs.String("b", "", "comma-separated blocklist CIDRs")
-		probeModule = fs.String("M", "tcp_synscan", "probe module: tcp_synscan|icmp_echoscan|udp")
-		rate        = fs.Float64("rate", 0, "aggregate fleet send budget in packets/sec, shared by live workers (0 = unlimited)")
-		seed        = fs.Int64("seed", 0, "permutation seed (required non-zero: all workers must derive the same permutation)")
-		threads     = fs.Int("T", 1, "sender threads per worker")
-		probes      = fs.Int("P", 1, "probes per target")
-		cooldown    = fs.Duration("cooldown-time", 2*time.Second, "per-worker receive quiescence window")
-		maxRuntime  = fs.Duration("max-runtime", 0, "per-worker sending time limit (0 = no limit)")
-		format      = fs.String("O", "text", "output format: text|csv|jsonl")
-		filter      = fs.String("output-filter", "", `output filter (default "success = 1 && repeat = 0")`)
-		outFile     = fs.String("o", "", "merged output file (default <fleet-dir>/merged.<ext>)")
-		metaFile    = fs.String("metadata-file", "", "fleet summary JSON (default <fleet-dir>/fleet-metadata.json, - = off)")
-		traceFile   = fs.String("trace-file", "", "coordinator decision journal JSONL (default <fleet-dir>/fleet-trace.jsonl, - = off)")
-		leaseTTL    = fs.Duration("lease-ttl", 0, "worker heartbeat lease TTL; a shard silent this long is reclaimed (0 = 2s)")
-		hbInterval  = fs.Duration("heartbeat-interval", 0, "worker lease renewal period (0 = TTL/4)")
-		ckptEvery   = fs.Duration("checkpoint-interval", 0, "per-worker checkpoint snapshot period (0 = 500ms)")
-		maxRespawns = fs.Int("max-respawns", 0, "respawn budget per shard before the fleet fails (0 = default 5, negative = none)")
-		backoff     = fs.Duration("respawn-backoff", 0, "initial respawn backoff, doubled per reclaim (0 = 100ms)")
 		faultPlan   = fs.String("fault-plan", "", "chaos schedule, e.g. kill:0@800ms,hang:1@1.2s,slow:2@500ms/300ms")
 		faultSeed   = fs.Uint64("fault-seed", 0, "derive a random fault plan from this seed instead of --fault-plan")
 		faultCount  = fs.Int("fault-count", 3, "faults in the derived plan (with --fault-seed)")
 		faultWindow = fs.Duration("fault-window", 2*time.Second, "window the derived faults spread over (with --fault-seed)")
-		listen      = fs.String("listen", "", "serve the control plane over HTTP on this host:port instead of the shared filesystem (port 0 = pick)")
-		advertise   = fs.String("advertise", "", "control-plane URL published to workers (default http://<bound address>)")
-		joinToken   = fs.String("join-token", "", "shared token required on every worker RPC (with --listen)")
-		remote      = fs.Bool("remote-workers", false, "do not spawn local workers; offer grants to `zmapgo fleet-worker --join` processes (requires --listen)")
-		simSeed     = fs.Uint64("sim-seed", 1, "simulated-Internet population seed (identical in every worker)")
-		simLossless = fs.Bool("sim-lossless", false, "disable simulated packet loss")
-		timeScale   = fs.Float64("sim-time-scale", 1e-3, "RTT compression factor for the simulated links")
 		verbose     = fs.Bool("v", false, "verbose coordinator logging to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *seed == 0 {
+	if opts.Scan.Seed == 0 {
 		fmt.Fprintln(os.Stderr, "zmapgo fleet: --seed is required and must be non-zero (workers share the permutation it derives)")
 		return 2
 	}
-	if *remote && *listen == "" {
+	if opts.RemoteWorkers && opts.Listen == "" {
 		fmt.Fprintln(os.Stderr, "zmapgo fleet: --remote-workers requires --listen")
 		return 2
 	}
-
-	opts := zmap.FleetOptions{
-		Workers:            *workers,
-		Dir:                *fleetDir,
-		Ranges:             zmap.ParseTargets(*ranges),
-		Blocklist:          zmap.ParseTargets(*blocklist),
-		Ports:              *ports,
-		Probe:              *probeModule,
-		Seed:               *seed,
-		Threads:            *threads,
-		ProbesPerTarget:    *probes,
-		Cooldown:           *cooldown,
-		MaxRuntime:         *maxRuntime,
-		Format:             *format,
-		Filter:             *filter,
-		Rate:               *rate,
-		SimSeed:            *simSeed,
-		SimLossless:        *simLossless,
-		SimTimeScale:       *timeScale,
-		LeaseTTL:           *leaseTTL,
-		HeartbeatInterval:  *hbInterval,
-		CheckpointInterval: *ckptEvery,
-		MaxRespawns:        *maxRespawns,
-		RespawnBackoff:     *backoff,
-		Listen:             *listen,
-		Advertise:          *advertise,
-		JoinToken:          *joinToken,
-		RemoteWorkers:      *remote,
-		MergedOutput:       *outFile,
-		MetadataPath:       *metaFile,
-		TracePath:          *traceFile,
+	if err := loadScan(); err != nil {
+		fmt.Fprintln(os.Stderr, "zmapgo fleet:", err)
+		return 1
 	}
 	if *faultPlan != "" && *faultSeed != 0 {
 		fmt.Fprintln(os.Stderr, "zmapgo fleet: --fault-plan and --fault-seed are mutually exclusive")
@@ -111,14 +75,14 @@ func runFleet(args []string) int {
 		}
 		opts.Faults = plan
 	} else if *faultSeed != 0 {
-		opts.Faults = zmap.RandomFleetFaults(*faultSeed, *workers, *faultCount, *faultWindow, *faultWindow/4)
+		opts.Faults = zmap.RandomFleetFaults(*faultSeed, opts.Workers, *faultCount, *faultWindow, *faultWindow/4)
 		fmt.Fprintf(os.Stderr, "zmapgo fleet: derived fault plan %q\n", opts.Faults.String())
 	}
-	if *listen != "" {
+	if opts.Listen != "" {
 		opts.OnListen = func(bound string) {
 			join := bound
-			if *advertise != "" {
-				join = *advertise
+			if opts.Advertise != "" {
+				join = opts.Advertise
 			}
 			fmt.Fprintf(os.Stderr, "zmapgo fleet: control plane at %s (workers: zmapgo fleet-worker --join %s)\n", bound, join)
 		}

@@ -47,82 +47,54 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("zmapgo", flag.ContinueOnError)
+	var opts zmap.Options
+	loadScan := scanFlags(fs, &opts)
+	fs.IntVar(&opts.Shards, "shards", 1, "total shards")
+	fs.IntVar(&opts.ShardIndex, "shard", 0, "this machine's shard index")
+	fs.StringVar(&opts.CheckpointPath, "checkpoint", "", "write a crash-safe scan checkpoint here periodically and at exit")
+	fs.DurationVar(&opts.CheckpointInterval, "checkpoint-interval", 0, "how often to snapshot scan state (0 = default 5s)")
+	fs.StringVar(&opts.StatusFormat, "status-format", "csv", "status line format: csv (ZMap columns) or json (adds latency quantiles, per-thread rates)")
+	fs.BoolVar(&opts.StatusCSVHeader, "status-header", true, "prepend the CSV column header to status updates")
 	var (
-		ports       = fs.String("p", "80", "ports to scan (ZMap syntax: 80,443 or 8000-8100 or *)")
-		ranges      = fs.String("r", "", "comma-separated target CIDRs (default: all IPv4)")
-		blocklist   = fs.String("b", "", "blocklist file (ZMap format)")
-		probeModule = fs.String("M", "tcp_synscan", "probe module: tcp_synscan|icmp_echoscan|udp")
-		rate        = fs.Float64("rate", 0, "send rate in packets/sec (0 = unlimited)")
-		bandwidth   = fs.String("B", "", "send bandwidth, e.g. 10M or 1G (overrides --rate)")
-		batchSize   = fs.Int("batch-size", 0, "probe frames per transport flush (0 = default 64, 1 = per-probe sends)")
-		recvWorkers = fs.Int("recv-workers", 0, "sharded receive workers (0 = default 1; rounded up to a power of two)")
-		seed        = fs.Int64("seed", 0, "permutation seed (0 = time-derived)")
-		shards      = fs.Int("shards", 1, "total shards")
-		shardIdx    = fs.Int("shard", 0, "this machine's shard index")
-		threads     = fs.Int("T", 1, "sender threads")
-		interleaved = fs.Bool("interleaved-sharding", false, "use the legacy pre-2017 sharding scheme")
-		tcpOptions  = fs.String("probe-tcp-options", "mss", "SYN option layout: none|mss|sack|timestamp|wscale|optimal|linux|bsd|windows")
-		staticIPID  = fs.Bool("static-ip-id", false, "use the classic static IP ID 54321 instead of random")
-		probes      = fs.Int("P", 1, "probes per target")
-		maxTargets  = fs.Uint64("max-targets", 0, "cap on (IP,port) targets for this shard")
-		cooldown    = fs.Duration("cooldown-time", 2*time.Second, "quiescence window: cooldown ends after this long with no responses")
-		cooldownMax = fs.Duration("cooldown-max", 0, "hard cap on the adaptive cooldown (0 = 4x cooldown-time, negative = fixed cooldown)")
-		adaptive    = fs.Bool("adaptive-rate", false, "enable closed-loop congestion-aware rate control (requires --rate or -B)")
-		minRate     = fs.Float64("min-rate", 0, "floor for adaptive rate decreases in packets/sec (0 = rate/64)")
-		quarThresh  = fs.Float64("quarantine-threshold", 0, "per-/16 interference quarantine threshold (0 = default 0.15 when health is on, negative = off)")
-		healthTick  = fs.Duration("health-interval", 0, "scan-health controller evaluation period (0 = 1s)")
 		paroleAfter = fs.Duration("parole-after", 0, "re-probe quarantined prefixes on a small budget after this long (0 = 30 health intervals, negative = never)")
-		maxRuntime  = fs.Duration("max-runtime", 0, "stop sending after this long (0 = no limit)")
-		retries     = fs.Int("retries", 0, "per-probe retry budget on transient send errors (0 = default 10, negative = none)")
-		sendBackoff = fs.Duration("send-backoff", 0, "initial retry backoff, doubled per attempt (0 = default 1ms)")
-		maxRestarts = fs.Int("max-sender-restarts", 0, "sender restarts after fatal errors or panics (0 = default 2, negative = none)")
-		ckptFile    = fs.String("checkpoint", "", "write a crash-safe scan checkpoint here periodically and at exit")
-		ckptEvery   = fs.Duration("checkpoint-interval", 0, "how often to snapshot scan state (0 = default 5s)")
 		resumeCkpt  = fs.String("resume-from", "", "resume from a checkpoint written by --checkpoint (config must match; seed 0 is adopted)")
-		format      = fs.String("O", "text", "output format: text|csv|jsonl")
-		filter      = fs.String("output-filter", "", `output filter (default "success = 1 && repeat = 0")`)
 		outFile     = fs.String("o", "-", "output file (- = stdout)")
 		metaFile    = fs.String("metadata-file", "", "write end-of-scan JSON metadata here")
 		statusFile  = fs.String("status-updates-file", "", "write 1 Hz status lines here")
-		statusFmt   = fs.String("status-format", "csv", "status line format: csv (ZMap columns) or json (adds latency quantiles, per-thread rates)")
-		statusHdr   = fs.Bool("status-header", true, "prepend the CSV column header to status updates")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (e.g. :9100; empty = off)")
 		traceFile   = fs.String("trace-file", "", "write a flight-recorder dump here at scan end and on SIGUSR1 (empty = dump only on SIGUSR1 or abort, to zmapgo-trace.<fmt>)")
 		traceFmt    = fs.String("trace-format", "jsonl", "flight-recorder dump format: jsonl (zanalyze trace) or chrome (Perfetto)")
-		traceEvery  = fs.Int("trace-sample-every", 0, "trace 1 in N targets through the flight recorder (0 = default 256, 1 = all, negative = decision journal only)")
-		traceRing   = fs.Int("trace-ring-size", 0, "flight-recorder per-shard event capacity (0 = default 8192)")
 		verbose     = fs.Bool("v", false, "verbose logging to stderr")
 		showSchema  = fs.Bool("schema", false, "print the output record schema as JSON and exit")
 		showVersion = fs.Bool("version", false, "print the version and exit")
-		optOutFile  = fs.String("opt-out-file", "", "operator opt-out list with added= dates (expired entries are dropped)")
-		optOutTTL   = fs.Duration("opt-out-ttl", 0, "opt-out expiry (default 2 years, per the paper's practice)")
 		simSeed     = fs.Uint64("sim-seed", 1, "simulated-Internet population seed")
 		simLossless = fs.Bool("sim-lossless", false, "disable simulated packet loss")
 		timeScale   = fs.Float64("sim-time-scale", 1e-3, "RTT compression factor for the simulated link")
-
-		// Fault injection into the simulated link (testing the engine's
-		// retry and supervision paths end to end).
-		simFaultFirstN = fs.Int("sim-fault-first-n", 0, "fail the first N send attempts of every probe with a transient error")
-		simFaultProb   = fs.Float64("sim-fault-prob", 0, "fail each send attempt with this probability (seeded, deterministic)")
-		simFaultFatal  = fs.Int("sim-fault-fatal-after", 0, "fail every send permanently after this many attempts (0 = never)")
-
-		// Congestion model on the simulated link (the path the adaptive
-		// rate controller is built to survive).
-		simCongPPS    = fs.Float64("sim-congestion-pps", 0, "simulated path capacity knee in packets/sec (0 = uncongested)")
-		simCongICMP   = fs.Float64("sim-congestion-icmp-pps", 0, "simulated router ICMP-unreachable budget for dropped probes")
-		simDarkPrefix = fs.String("sim-dark-prefix", "", "CIDR prefix (/8 to /24) that goes dark mid-scan (interference fault)")
-		simDarkAfter  = fs.Uint64("sim-dark-after", 0, "probe count that triggers the dark prefix")
-		simScenario   = fs.String("sim-scenario", "", "JSON network-weather scenario to play on the simulated link (see conf/scenarios/)")
-
-		// Receive-path fault injection (testing the parse/validate/dedup
-		// pipeline's hardening end to end). Probabilities are per frame.
-		simRecvTrunc   = fs.Float64("sim-recv-fault-truncate", 0, "truncate received frames with this probability")
-		simRecvCorrupt = fs.Float64("sim-recv-fault-corrupt", 0, "flip random bits in received frames with this probability")
-		simRecvDup     = fs.Float64("sim-recv-fault-dup", 0, "deliver received frames twice with this probability")
-		simRecvReorder = fs.Float64("sim-recv-fault-reorder", 0, "delay received frames so later traffic overtakes them, with this probability")
-		simRecvSpoof   = fs.Float64("sim-recv-fault-spoof", 0, "inject forged-but-well-formed SYN-ACKs with this probability")
-		simRecvSeed    = fs.Int64("sim-recv-fault-seed", 0, "seed for the receive-fault schedule (default: --sim-seed)")
 	)
+	// The injectors' flags are bound to the options they fill. Send
+	// faults exercise the engine's retry and supervision paths end to
+	// end; the congestion model is the path the adaptive rate controller
+	// is built to survive; receive faults (probabilities per frame) test
+	// the parse/validate/dedup pipeline's hardening.
+	var (
+		faults     zmap.FaultOptions
+		cong       zmap.CongestionOptions
+		recvFaults zmap.RecvFaultOptions
+	)
+	fs.IntVar(&faults.FailFirstN, "sim-fault-first-n", 0, "fail the first N send attempts of every probe with a transient error")
+	fs.Float64Var(&faults.TransientProb, "sim-fault-prob", 0, "fail each send attempt with this probability (seeded, deterministic)")
+	fs.IntVar(&faults.FatalAfter, "sim-fault-fatal-after", 0, "fail every send permanently after this many attempts (0 = never)")
+	fs.Float64Var(&cong.CapacityPPS, "sim-congestion-pps", 0, "simulated path capacity knee in packets/sec (0 = uncongested)")
+	fs.Float64Var(&cong.ICMPPPS, "sim-congestion-icmp-pps", 0, "simulated router ICMP-unreachable budget for dropped probes")
+	simDarkPrefix := fs.String("sim-dark-prefix", "", "CIDR prefix (/8 to /24) that goes dark mid-scan (interference fault)")
+	fs.Uint64Var(&cong.DarkAfter, "sim-dark-after", 0, "probe count that triggers the dark prefix")
+	simScenario := fs.String("sim-scenario", "", "JSON network-weather scenario to play on the simulated link (see conf/scenarios/)")
+	fs.Float64Var(&recvFaults.TruncateProb, "sim-recv-fault-truncate", 0, "truncate received frames with this probability")
+	fs.Float64Var(&recvFaults.CorruptProb, "sim-recv-fault-corrupt", 0, "flip random bits in received frames with this probability")
+	fs.Float64Var(&recvFaults.DuplicateProb, "sim-recv-fault-dup", 0, "deliver received frames twice with this probability")
+	fs.Float64Var(&recvFaults.ReorderProb, "sim-recv-fault-reorder", 0, "delay received frames so later traffic overtakes them, with this probability")
+	fs.Float64Var(&recvFaults.SpoofProb, "sim-recv-fault-spoof", 0, "inject forged-but-well-formed SYN-ACKs with this probability")
+	fs.Int64Var(&recvFaults.Seed, "sim-recv-fault-seed", 0, "seed for the receive-fault schedule (default: --sim-seed)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -141,87 +113,16 @@ func run(args []string) int {
 		return 0
 	}
 
-	opts := zmap.Options{
-		Ranges:              zmap.ParseTargets(*ranges),
-		Ports:               *ports,
-		Probe:               *probeModule,
-		Rate:                *rate,
-		Bandwidth:           *bandwidth,
-		BatchSize:           *batchSize,
-		RecvWorkers:         *recvWorkers,
-		Seed:                *seed,
-		Shards:              *shards,
-		ShardIndex:          *shardIdx,
-		Threads:             *threads,
-		InterleavedSharding: *interleaved,
-		TCPOptions:          *tcpOptions,
-		StaticIPID:          *staticIPID,
-		ProbesPerTarget:     *probes,
-		MaxTargets:          *maxTargets,
-		Cooldown:            *cooldown,
-		CooldownMax:         *cooldownMax,
-		AdaptiveRate:        *adaptive,
-		MinRate:             *minRate,
-		QuarantineThreshold: *quarThresh,
-		HealthInterval:      *healthTick,
-		MaxRuntime:          *maxRuntime,
-		Retries:             *retries,
-		Backoff:             *sendBackoff,
-		MaxSenderRestarts:   *maxRestarts,
-		CheckpointPath:      *ckptFile,
-		CheckpointInterval:  *ckptEvery,
-		Format:              *format,
-		Filter:              *filter,
-		TraceSampleEvery:    *traceEvery,
-		TraceRingSize:       *traceRing,
-	}
 	if *traceFmt != "jsonl" && *traceFmt != "chrome" {
 		fmt.Fprintf(os.Stderr, "zmapgo: unknown --trace-format %q (want jsonl or chrome)\n", *traceFmt)
 		return 2
 	}
+	if err := loadScan(); err != nil {
+		fmt.Fprintln(os.Stderr, "zmapgo:", err)
+		return 1
+	}
 	if *paroleAfter != 0 {
 		opts.Health = &health.Config{ParoleAfter: *paroleAfter}
-	}
-
-	if *optOutFile != "" {
-		f, err := os.Open(*optOutFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zmapgo:", err)
-			return 1
-		}
-		entries, err := target.ParseOptOutList(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zmapgo:", err)
-			return 1
-		}
-		var extra []string
-		applied, expired := 0, 0
-		now := time.Now()
-		ttl := *optOutTTL
-		if ttl <= 0 {
-			ttl = target.DefaultOptOutTTL
-		}
-		for _, e := range entries {
-			if e.Expired(now, ttl) {
-				expired++
-				continue
-			}
-			applied++
-			extra = append(extra, fmt.Sprintf("%s/%d", target.FormatIPv4(e.Prefix), e.Bits))
-		}
-		opts.Blocklist = append(opts.Blocklist, extra...)
-		fmt.Fprintf(os.Stderr, "zmapgo: opt-outs: %d applied, %d expired (ttl %v)\n", applied, expired, ttl)
-	}
-
-	if *blocklist != "" {
-		f, err := os.Open(*blocklist)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zmapgo:", err)
-			return 1
-		}
-		defer f.Close()
-		opts.BlocklistFile = f
 	}
 
 	if *outFile == "-" {
@@ -248,8 +149,8 @@ func run(args []string) int {
 		defer f.Close()
 		opts.Metadata = f
 	}
-	if *statusFmt != "csv" && *statusFmt != "json" {
-		fmt.Fprintf(os.Stderr, "zmapgo: unknown --status-format %q (want csv or json)\n", *statusFmt)
+	if opts.StatusFormat != "csv" && opts.StatusFormat != "json" {
+		fmt.Fprintf(os.Stderr, "zmapgo: unknown --status-format %q (want csv or json)\n", opts.StatusFormat)
 		return 2
 	}
 	if *statusFile != "" {
@@ -260,8 +161,6 @@ func run(args []string) int {
 		}
 		defer f.Close()
 		opts.StatusUpdates = f
-		opts.StatusFormat = *statusFmt
-		opts.StatusCSVHeader = *statusHdr
 	}
 	// Errors always reach stderr: a results stream that starts refusing
 	// writes must not end in silence and exit 0.
@@ -284,46 +183,28 @@ func run(args []string) int {
 
 	internet := zmap.NewInternet(zmap.SimOptions{Seed: *simSeed, Lossless: *simLossless})
 	var link *zmap.Link
-	if *simFaultFirstN > 0 || *simFaultProb > 0 || *simFaultFatal > 0 {
-		link = internet.NewFaultyLink(1<<16, *timeScale, zmap.FaultOptions{
-			Seed:          *simSeed,
-			FailFirstN:    *simFaultFirstN,
-			TransientProb: *simFaultProb,
-			FatalAfter:    *simFaultFatal,
-		})
+	if faults.FailFirstN > 0 || faults.TransientProb > 0 || faults.FatalAfter > 0 {
+		faults.Seed = *simSeed
+		link = internet.NewFaultyLink(1<<16, *timeScale, faults)
 	} else {
 		link = internet.NewLink(1<<16, *timeScale)
 	}
-	rfSeed := *simRecvSeed
-	if rfSeed == 0 {
-		rfSeed = int64(*simSeed)
+	if recvFaults.Seed == 0 {
+		recvFaults.Seed = int64(*simSeed)
 	}
-	link.WithRecvFaults(zmap.RecvFaultOptions{
-		Seed:          rfSeed,
-		TruncateProb:  *simRecvTrunc,
-		CorruptProb:   *simRecvCorrupt,
-		DuplicateProb: *simRecvDup,
-		ReorderProb:   *simRecvReorder,
-		SpoofProb:     *simRecvSpoof,
-	})
-	if *simCongPPS > 0 || *simDarkPrefix != "" {
-		cong := zmap.CongestionOptions{
-			CapacityPPS: *simCongPPS,
-			ICMPPPS:     *simCongICMP,
-			DarkAfter:   *simDarkAfter,
-		}
+	link.WithRecvFaults(recvFaults)
+	if cong.CapacityPPS > 0 || *simDarkPrefix != "" {
 		if *simDarkPrefix != "" {
 			ip, bits, err := parseDarkPrefix(*simDarkPrefix)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "zmapgo:", err)
 				return 2
 			}
-			if *simDarkAfter == 0 {
+			if cong.DarkAfter == 0 {
 				fmt.Fprintln(os.Stderr, "zmapgo: --sim-dark-prefix requires --sim-dark-after > 0")
 				return 2
 			}
-			cong.DarkPrefix = ip
-			cong.DarkBits = bits
+			cong.DarkPrefix, cong.DarkBits = ip, bits
 		}
 		link.WithCongestion(cong)
 	}
@@ -455,8 +336,8 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "zmapgo:", err)
 		fmt.Fprintf(os.Stderr, "zmapgo: %d send errors, %d sender restarts\n",
 			summary.SendErrors, summary.SenderRestarts)
-		if *ckptFile != "" {
-			fmt.Fprintf(os.Stderr, "zmapgo: progress saved; resume with --resume-from %s\n", *ckptFile)
+		if opts.CheckpointPath != "" {
+			fmt.Fprintf(os.Stderr, "zmapgo: progress saved; resume with --resume-from %s\n", opts.CheckpointPath)
 		}
 		// A fatal abort is exactly when the flight recorder earns its
 		// keep: dump it unconditionally so the last decisions and probe
@@ -487,8 +368,8 @@ func run(args []string) int {
 		}
 	}
 	if summary.Interrupted {
-		if *ckptFile != "" {
-			fmt.Fprintf(os.Stderr, "zmapgo: interrupted; resume with --resume-from %s\n", *ckptFile)
+		if opts.CheckpointPath != "" {
+			fmt.Fprintf(os.Stderr, "zmapgo: interrupted; resume with --resume-from %s\n", opts.CheckpointPath)
 		}
 		return 130
 	}
@@ -496,6 +377,86 @@ func run(args []string) int {
 		return 3
 	}
 	return 0
+}
+
+// scanFlags registers the flags that describe a scan — the ones `zmapgo`
+// and `zmapgo fleet` share, defined once, each bound to its field of o.
+// Call load after fs.Parse: it reads the blocklist and opt-out files
+// into o.Blocklist entries, so the whole scan serialises and a fleet's
+// workers honor them.
+func scanFlags(fs *flag.FlagSet, o *zmap.Options) (load func() error) {
+	fs.StringVar(&o.Ports, "p", "80", "ports to scan (ZMap syntax: 80,443 or 8000-8100 or *)")
+	ranges := fs.String("r", "", "comma-separated target CIDRs (default: all IPv4)")
+	blocklist := fs.String("b", "", "blocklist file (ZMap format)")
+	optOutFile := fs.String("opt-out-file", "", "operator opt-out list with added= dates (expired entries are dropped)")
+	optOutTTL := fs.Duration("opt-out-ttl", 0, "opt-out expiry (default 2 years, per the paper's practice)")
+	fs.StringVar(&o.Probe, "M", "tcp_synscan", "probe module: tcp_synscan|icmp_echoscan|udp")
+	fs.Float64Var(&o.Rate, "rate", 0, "send rate in packets/sec (0 = unlimited); a fleet's live workers share it")
+	fs.StringVar(&o.Bandwidth, "B", "", "send bandwidth, e.g. 10M or 1G (overrides --rate)")
+	fs.IntVar(&o.BatchSize, "batch-size", 0, "probe frames per transport flush (0 = default 64, 1 = per-probe sends)")
+	fs.IntVar(&o.RecvWorkers, "recv-workers", 0, "sharded receive workers (0 = default 1; rounded up to a power of two)")
+	fs.Int64Var(&o.Seed, "seed", 0, "permutation seed (0 = time-derived; a fleet requires a fixed non-zero seed)")
+	fs.IntVar(&o.Threads, "T", 1, "sender threads (per worker in a fleet)")
+	fs.StringVar(&o.TCPOptions, "probe-tcp-options", "mss", "SYN option layout: none|mss|sack|timestamp|wscale|optimal|linux|bsd|windows")
+	fs.BoolVar(&o.StaticIPID, "static-ip-id", false, "use the classic static IP ID 54321 instead of random")
+	fs.IntVar(&o.ProbesPerTarget, "P", 1, "probes per target")
+	fs.Uint64Var(&o.MaxTargets, "max-targets", 0, "cap on (IP,port) targets for this shard")
+	fs.DurationVar(&o.Cooldown, "cooldown-time", 2*time.Second, "quiescence window: cooldown ends after this long with no responses")
+	fs.DurationVar(&o.CooldownMax, "cooldown-max", 0, "hard cap on the adaptive cooldown (0 = 4x cooldown-time, negative = fixed cooldown)")
+	fs.BoolVar(&o.AdaptiveRate, "adaptive-rate", false, "enable closed-loop congestion-aware rate control (requires --rate or -B)")
+	fs.Float64Var(&o.MinRate, "min-rate", 0, "floor for adaptive rate decreases in packets/sec (0 = rate/64)")
+	fs.Float64Var(&o.QuarantineThreshold, "quarantine-threshold", 0, "per-/16 interference quarantine threshold (0 = default 0.15 when health is on, negative = off)")
+	fs.DurationVar(&o.HealthInterval, "health-interval", 0, "scan-health controller evaluation period (0 = 1s)")
+	fs.DurationVar(&o.MaxRuntime, "max-runtime", 0, "stop sending after this long (0 = no limit)")
+	fs.IntVar(&o.Retries, "retries", 0, "per-probe retry budget on transient send errors (0 = default 10, negative = none)")
+	fs.DurationVar(&o.Backoff, "send-backoff", 0, "initial retry backoff, doubled per attempt (0 = default 1ms)")
+	fs.IntVar(&o.MaxSenderRestarts, "max-sender-restarts", 0, "sender restarts after fatal errors or panics (0 = default 2, negative = none)")
+	fs.StringVar(&o.Format, "O", "text", "output format: text|csv|jsonl")
+	fs.StringVar(&o.Filter, "output-filter", "", `output filter (default "success = 1 && repeat = 0")`)
+	fs.IntVar(&o.TraceSampleEvery, "trace-sample-every", 0, "trace 1 in N targets through the flight recorder (0 = default 256, 1 = all, negative = decision journal only)")
+	fs.IntVar(&o.TraceRingSize, "trace-ring-size", 0, "flight-recorder per-shard event capacity (0 = default 8192)")
+	return func() error {
+		o.Ranges = zmap.ParseTargets(*ranges)
+		if *optOutFile != "" {
+			f, err := os.Open(*optOutFile)
+			if err != nil {
+				return err
+			}
+			entries, err := target.ParseOptOutList(f)
+			f.Close()
+			if err != nil {
+				return err
+			}
+			ttl := *optOutTTL
+			if ttl <= 0 {
+				ttl = target.DefaultOptOutTTL
+			}
+			applied, now := 0, time.Now()
+			for _, e := range entries {
+				if !e.Expired(now, ttl) {
+					applied++
+					o.Blocklist = append(o.Blocklist, fmt.Sprintf("%s/%d", target.FormatIPv4(e.Prefix), e.Bits))
+				}
+			}
+			fmt.Fprintf(os.Stderr, "zmapgo: opt-outs: %d applied, %d expired (ttl %v)\n",
+				applied, len(entries)-applied, ttl)
+		}
+		if *blocklist != "" {
+			f, err := os.Open(*blocklist)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			// Entries are checked here, where their line number is known.
+			check := target.NewConstraint(true)
+			_, err = target.ReadBlocklist(f, func(cidr string) error {
+				o.Blocklist = append(o.Blocklist, cidr)
+				return check.DenyCIDR(cidr)
+			})
+			return err
+		}
+		return nil
+	}
 }
 
 // parseDarkPrefix parses the --sim-dark-prefix argument: an IPv4 CIDR

@@ -34,18 +34,18 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	res, err := zmap.RunFleet(context.Background(), zmap.FleetOptions{
-		Workers:  3,
-		Dir:      dir,
-		Ranges:   []string{"192.168.0.0/16"},
-		Ports:    "443",
-		Seed:     1234, // identical across workers: same permutation
-		Threads:  2,
-		Cooldown: 300 * time.Millisecond,
-
-		SimSeed:            5,
-		SimLossless:        true,
-		SimDisableBlowback: true,
-		SimTimeScale:       0,
+		Workers: 3,
+		Dir:     dir,
+		// The same Options a single process would Compile: it travels
+		// whole to every worker.
+		Scan: zmap.Options{
+			Ranges:   []string{"192.168.0.0/16"},
+			Ports:    "443",
+			Seed:     1234, // identical across workers: same permutation
+			Threads:  2,
+			Cooldown: 300 * time.Millisecond,
+		},
+		Sim: zmap.SimOptions{Seed: 5, Lossless: true, DisableBlowback: true},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -50,7 +50,10 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.3.0"
+const Version = "1.4.0"
+
+// DefaultProbeModule is the module a Config with no ProbeModule runs.
+const DefaultProbeModule = "tcp_synscan"
 
 // Transport is the wire the scanner sends probes into and receives
 // responses from. netsim.Link implements it for the simulated Internet; a
@@ -109,7 +112,6 @@ type Config struct {
 	Shards     int // total shards (machines), default 1
 	ShardIndex int // this machine's shard, default 0
 	Threads    int // sender goroutines, default 1
-	ShardMode  shard.Mode
 
 	// Rate is the aggregate packets-per-second budget (0 = unlimited).
 	Rate float64
@@ -338,7 +340,7 @@ func (c *Config) setDefaults() {
 		c.Clock = ratelimit.RealClock{}
 	}
 	if c.ProbeModule == "" {
-		c.ProbeModule = "tcp_synscan"
+		c.ProbeModule = DefaultProbeModule
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 5 * time.Second
@@ -377,6 +379,26 @@ func (c *Config) Validate() error {
 		return errors.New("core: AdaptiveRate requires a configured Rate")
 	}
 	return nil
+}
+
+// Fingerprint pins every input that decides which (IP, port) the i-th
+// permutation element maps to, after defaulting. Resume verifies against
+// it, every snapshot embeds it, and a fleet coordinator computes each
+// shard's from the same Config. The scan path plans pizza shards only;
+// the mode stays a field so that older checkpoints verify.
+func (c Config) Fingerprint() checkpoint.Fingerprint {
+	c.setDefaults()
+	return checkpoint.Fingerprint{
+		Seed:            c.Seed,
+		Shards:          c.Shards,
+		ShardIndex:      c.ShardIndex,
+		Threads:         c.Threads,
+		ShardMode:       shard.Pizza.String(),
+		ProbeModule:     c.ProbeModule,
+		Ports:           c.Ports.String(),
+		ProbesPerTarget: c.ProbesPerTarget,
+		TargetsDigest:   c.Constraint.Digest(),
+	}
 }
 
 // healthEnabled reports whether the scan-health subsystem runs at all.
@@ -566,20 +588,7 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		}
 	}
 
-	// The fingerprint pins every input that decides which (IP, port) the
-	// i-th permutation element maps to. Resume verifies against it; the
-	// checkpoint writer embeds it in every snapshot.
-	fp := checkpoint.Fingerprint{
-		Seed:            cfg.Seed,
-		Shards:          cfg.Shards,
-		ShardIndex:      cfg.ShardIndex,
-		Threads:         cfg.Threads,
-		ShardMode:       cfg.ShardMode.String(),
-		ProbeModule:     cfg.ProbeModule,
-		Ports:           cfg.Ports.String(),
-		ProbesPerTarget: cfg.ProbesPerTarget,
-		TargetsDigest:   cfg.Constraint.Digest(),
-	}
+	fp := cfg.Fingerprint()
 	runs, firstStart, prevSecs := 1, time.Time{}, 0.0
 	progress := make([]atomic.Uint64, cfg.Threads)
 	if cfg.Resume != nil {
@@ -941,7 +950,7 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 	var abortedThreads atomic.Uint64
 	order := s.space.Group().Order()
 	for t := 0; t < cfg.Threads; t++ {
-		base := shard.Plan(cfg.ShardMode, order, cfg.Shards, cfg.Threads, cfg.ShardIndex, t)
+		base := shard.Plan(shard.Pizza, order, cfg.Shards, cfg.Threads, cfg.ShardIndex, t)
 		if s.progress[t].Load() > base.Count {
 			// A resumed count past the end of the subshard is a finished
 			// thread.

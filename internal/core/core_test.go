@@ -13,7 +13,6 @@ import (
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
-	"zmapgo/internal/shard"
 	"zmapgo/internal/target"
 )
 
@@ -259,42 +258,6 @@ func TestShardsPartitionScan(t *testing.T) {
 	want := expectedHits(in, []uint16{80}, packet.LayoutMSS)
 	if len(seen) != want {
 		t.Errorf("union found %d, ground truth %d", len(seen), want)
-	}
-}
-
-func TestInterleavedShardModeAlsoPartitions(t *testing.T) {
-	var totalSent uint64
-	seen := map[string]int{}
-	for idx := 0; idx < 2; idx++ {
-		in, cfg, sink := testbed(t, 104, "80")
-		cfg.Shards = 2
-		cfg.ShardIndex = idx
-		cfg.Seed = 778
-		cfg.ShardMode = shard.Interleaved
-		link := netsim.NewLink(in, 1<<16, 0)
-		s, err := New(cfg, link)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalSent += meta.PacketsSent
-		for _, r := range sink.all() {
-			if r.Success && !r.Repeat {
-				seen[r.Saddr()]++
-			}
-		}
-		link.Close()
-	}
-	if totalSent != 16384 {
-		t.Errorf("interleaved shards sent %d, want 16384", totalSent)
-	}
-	for addr, n := range seen {
-		if n != 1 {
-			t.Errorf("%s probed by %d interleaved shards", addr, n)
-		}
 	}
 }
 

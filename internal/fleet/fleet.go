@@ -43,15 +43,19 @@ type Config struct {
 	Dir string
 
 	// Binary is the worker executable (default: this process's own
-	// binary, which must call zmap.FleetWorkerMain at startup). Args
-	// are extra arguments passed to it; the worker contract travels in
-	// the environment, so none are normally needed.
+	// binary, which must call zmap.FleetWorkerMain at startup). The
+	// worker contract travels in the environment; it takes no arguments.
 	Binary string
-	Args   []string
 
-	// Scan is the shared scan configuration. Scan.Seed must be
-	// non-zero.
-	Scan ScanSpec
+	// Scan is the shared scan description: a JSON document the worker
+	// runtime (zmap) writes and decodes. The coordinator copies it into
+	// every WorkerSpec and the Result and never looks inside; what it
+	// does use travels beside it. Format is the result format (run-file
+	// extensions, the merge's row parser). Fingerprints is the checkpoint
+	// fingerprint expected of each shard, one per worker.
+	Scan         json.RawMessage
+	Format       string
+	Fingerprints []checkpoint.Fingerprint
 
 	// RateBudget is the aggregate probes/sec across the whole fleet
 	// (0 = unlimited, no redistribution). Live workers share it
@@ -132,9 +136,9 @@ type ShardResult struct {
 // metadata plus the coordinator's own supervision and merge accounting.
 // It is also the document written to Config.MetadataPath.
 type Result struct {
-	FleetID string   `json:"fleet_id"`
-	Workers int      `json:"workers"`
-	Scan    ScanSpec `json:"scan"`
+	FleetID string          `json:"fleet_id"`
+	Workers int             `json:"workers"`
+	Scan    json.RawMessage `json:"scan"`
 
 	StartTime    time.Time `json:"start_time"`
 	EndTime      time.Time `json:"end_time"`
@@ -198,7 +202,6 @@ type coordinator struct {
 	plane   ControlPlane
 	start   time.Time
 	fleetID string
-	fps     []checkpoint.Fingerprint
 	sups    []*supervisor
 
 	mu       sync.Mutex
@@ -228,8 +231,8 @@ func (c *Config) applyDefaults() error {
 	if c.Dir == "" {
 		return errors.New("fleet: Config.Dir is required")
 	}
-	if c.Scan.Seed == 0 {
-		return errors.New("fleet: Scan.Seed must be non-zero (every worker must derive the same permutation)")
+	if len(c.Fingerprints) != c.Workers {
+		return fmt.Errorf("fleet: %d fingerprints for %d workers", len(c.Fingerprints), c.Workers)
 	}
 	if c.Binary == "" {
 		exe, err := os.Executable()
@@ -271,7 +274,7 @@ func (c *Config) applyDefaults() error {
 		}
 	}
 	if c.MergedOutput == "" {
-		c.MergedOutput = filepath.Join(c.Dir, "merged."+outputExt(c.Scan.Format))
+		c.MergedOutput = filepath.Join(c.Dir, "merged."+outputExt(c.Format))
 	}
 	if c.MetadataPath == "" {
 		c.MetadataPath = filepath.Join(c.Dir, "fleet-metadata.json")
@@ -293,10 +296,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	fps, err := cfg.Scan.Fingerprints(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -317,7 +316,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		plane:   cfg.Plane,
 		start:   time.Now(),
 		fleetID: fmt.Sprintf("fleet-%d-%d", os.Getpid(), time.Now().UnixNano()),
-		fps:     fps,
 		alive:   make([]bool, cfg.Workers),
 		workersAlive: reg.Gauge("zmapgo_fleet_workers_alive",
 			"Worker processes currently holding a fresh lease."),
@@ -340,13 +338,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	c.journal(trace.JEntry{Kind: trace.JFleetStart, Name: c.fleetID,
 		Detail: fmt.Sprintf("workers=%d seed=%d budget=%.0fpps ttl=%s plane=%s",
-			cfg.Workers, cfg.Scan.Seed, cfg.RateBudget, cfg.LeaseTTL, c.plane.Name())})
+			cfg.Workers, cfg.Fingerprints[0].Seed, cfg.RateBudget, cfg.LeaseTTL, c.plane.Name())})
 	defer c.dumpTrace()
 
 	if err := c.plane.Start(PlaneInfo{
 		Dir:      cfg.Dir,
 		Workers:  cfg.Workers,
-		Format:   cfg.Scan.Format,
+		Format:   cfg.Format,
 		FleetID:  c.fleetID,
 		LeaseTTL: cfg.LeaseTTL,
 		Journal:  c.journal,
@@ -404,7 +402,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // merge unions the per-shard run files and builds the fleet Result.
 func (c *coordinator) merge(reg *metrics.Registry) (*Result, error) {
-	files, err := RunFiles(c.cfg.Dir, c.cfg.Workers, c.cfg.Scan.Format)
+	files, err := RunFiles(c.cfg.Dir, c.cfg.Workers, c.cfg.Format)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +410,7 @@ func (c *coordinator) merge(reg *metrics.Registry) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: merged output: %w", err)
 	}
-	stats, merr := MergeOutputs(c.cfg.Scan.Format, files, out)
+	stats, merr := MergeOutputs(c.cfg.Format, files, out)
 	if cerr := out.Close(); merr == nil {
 		merr = cerr
 	}
@@ -536,7 +534,7 @@ func (c *coordinator) reallocateLocked(reason string) (share float64, alive int)
 			continue
 		}
 		c.rateAlloc[i].Set(share)
-		path := PathsFor(c.cfg.Dir, i, 1, c.cfg.Scan.Format).Rate
+		path := PathsFor(c.cfg.Dir, i, 1, c.cfg.Format).Rate
 		if err := writeRateFileRetry(path, share); err != nil {
 			// A silently lost write here would strand part of the fleet
 			// budget: a dead worker's slice never reaches the survivors
@@ -654,7 +652,7 @@ func (c *coordinator) injectFaults(ctx context.Context) {
 
 // leasePathFor is the epoch-independent lease location of a shard.
 func (c *coordinator) leasePathFor(shard int) string {
-	return PathsFor(c.cfg.Dir, shard, 1, c.cfg.Scan.Format).Lease
+	return PathsFor(c.cfg.Dir, shard, 1, c.cfg.Format).Lease
 }
 
 // run supervises one shard to completion: adopt or spawn, monitor the
@@ -664,16 +662,16 @@ func (s *supervisor) run(ctx context.Context) error {
 	epoch := 0
 	backoff := c.cfg.RespawnBackoff
 
-	paths1 := PathsFor(c.cfg.Dir, s.shard, 1, c.cfg.Scan.Format)
+	paths1 := PathsFor(c.cfg.Dir, s.shard, 1, c.cfg.Format)
 
 	// Pre-existing durable state: a lease left by a previous
 	// coordinator (or a crashed one). Adopt, skip, or reclaim it.
 	if l, err := checkpoint.LoadLease(paths1.Lease); err == nil {
-		if verr := (&checkpoint.Snapshot{Fingerprint: l.Fingerprint}).Verify(c.fps[s.shard]); verr != nil {
+		if verr := (&checkpoint.Snapshot{Fingerprint: l.Fingerprint}).Verify(c.cfg.Fingerprints[s.shard]); verr != nil {
 			return fmt.Errorf("fleet: shard %d lease belongs to a different scan: %w", s.shard, verr)
 		}
 		epoch = l.Epoch
-		donePaths := PathsFor(c.cfg.Dir, s.shard, l.Epoch, c.cfg.Scan.Format)
+		donePaths := PathsFor(c.cfg.Dir, s.shard, l.Epoch, c.cfg.Format)
 		switch {
 		case fileExists(donePaths.Metadata):
 			// Shard finished under a previous coordinator. The metadata
@@ -731,7 +729,7 @@ func (s *supervisor) run(ctx context.Context) error {
 		// verifying it describes this exact slice of this exact scan.
 		resume := false
 		if snap, err := checkpoint.Load(paths1.Checkpoint); err == nil {
-			if verr := snap.Verify(c.fps[s.shard]); verr != nil {
+			if verr := snap.Verify(c.cfg.Fingerprints[s.shard]); verr != nil {
 				return fmt.Errorf("fleet: shard %d checkpoint rejected on handoff: %w", s.shard, verr)
 			}
 			resume = true
@@ -789,14 +787,13 @@ func (s *supervisor) noteReclaim(ctx context.Context, out outcome, backoff *time
 // context); failures the reclaim loop handles come back as outcomes.
 func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outcome, error) {
 	c := s.c
-	paths := PathsFor(c.cfg.Dir, s.shard, epoch, c.cfg.Scan.Format)
+	paths := PathsFor(c.cfg.Dir, s.shard, epoch, c.cfg.Format)
 	spec := &WorkerSpec{
 		FleetID:            c.fleetID,
 		Shard:              s.shard,
 		Shards:             c.cfg.Workers,
 		Epoch:              epoch,
 		Scan:               c.cfg.Scan,
-		RatePPS:            c.cfg.RateBudget,
 		Resume:             resume,
 		Paths:              paths,
 		LeaseTTL:           c.cfg.LeaseTTL,
@@ -817,7 +814,7 @@ func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outc
 		GrantedAt:   now,
 		RenewedAt:   now,
 		TTLSecs:     c.cfg.LeaseTTL.Seconds(),
-		Fingerprint: c.fps[s.shard],
+		Fingerprint: c.cfg.Fingerprints[s.shard],
 	}
 	if err := c.plane.Grant(spec, lease); err != nil {
 		return outCrash, err
@@ -832,7 +829,7 @@ func (s *supervisor) runEpoch(ctx context.Context, epoch int, resume bool) (outc
 	if err != nil {
 		return outCrash, err
 	}
-	cmd := exec.Command(c.cfg.Binary, c.cfg.Args...)
+	cmd := exec.Command(c.cfg.Binary)
 	cmd.Env = append(os.Environ(), c.plane.WorkerEnv(spec)...)
 	cmd.Stdout, cmd.Stderr = logf, logf
 	if err := cmd.Start(); err != nil {

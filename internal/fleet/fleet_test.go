@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -180,29 +181,32 @@ func TestMergeCSVAndJSONL(t *testing.T) {
 	}
 }
 
-// TestScanSpecFingerprints: the coordinator's expected fingerprints
-// must mirror the engine's defaulting (probe, ports, threads), and
-// differ across shard slots.
-func TestScanSpecFingerprints(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.0.0.0/16"}, Seed: 7}
-	fps, err := spec.Fingerprints(3)
-	if err != nil {
-		t.Fatal(err)
+// testScan is the opaque scan document of these tests: no worker ever
+// runs here, so nothing decodes it. testFingerprints is the expected
+// fingerprint the caller supplies beside it, one per shard.
+var testScan = json.RawMessage(`{"options":{"ranges":["10.9.0.0/24"],"seed":11}}`)
+
+func testFingerprints(workers int) []checkpoint.Fingerprint {
+	fps := make([]checkpoint.Fingerprint, workers)
+	for i := range fps {
+		fps[i] = checkpoint.Fingerprint{
+			Seed: 11, Shards: workers, ShardIndex: i, Threads: 1, ShardMode: "pizza",
+			ProbeModule: "tcp_synscan", Ports: "80", ProbesPerTarget: 1, TargetsDigest: "d1935",
+		}
 	}
-	if len(fps) != 3 {
-		t.Fatalf("got %d fingerprints", len(fps))
-	}
-	fp := fps[1]
-	if fp.ProbeModule != "tcp_synscan" || fp.Ports != "80" || fp.Threads != 1 ||
-		fp.ProbesPerTarget != 1 || fp.ShardMode != "pizza" {
-		t.Fatalf("defaults not mirrored: %+v", fp)
-	}
-	if fp.ShardIndex != 1 || fp.Shards != 3 || fp.Seed != 7 {
-		t.Fatalf("slot identity wrong: %+v", fp)
-	}
-	if fps[0].TargetsDigest == "" || fps[0].TargetsDigest != fps[2].TargetsDigest {
-		t.Fatalf("digest should be shared and non-empty: %q vs %q",
-			fps[0].TargetsDigest, fps[2].TargetsDigest)
+	return fps
+}
+
+// TestRunWantsOneFingerprintPerShard: the coordinator cannot compute a
+// fingerprint any more, so a caller that hands it the wrong number is
+// refused before any state is touched.
+func TestRunWantsOneFingerprintPerShard(t *testing.T) {
+	_, err := Run(context.Background(), Config{
+		Workers: 2, Dir: t.TempDir(), Scan: testScan, Fingerprints: testFingerprints(1),
+		Binary: "/bin/false",
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 fingerprints for 2 workers") {
+		t.Fatalf("Run returned %v, want the fingerprint count refusal", err)
 	}
 }
 
@@ -212,11 +216,7 @@ func TestScanSpecFingerprints(t *testing.T) {
 // expected slot fingerprint; any drift hard-fails the fleet with
 // ErrFingerprintMismatch before a worker is ever spawned.
 func TestShardHandoffFingerprintGate(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.9.0.0/24"}, Seed: 11}
-	fps, err := spec.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fps := testFingerprints(1)
 
 	mutations := map[string]func(*checkpoint.Fingerprint){
 		"seed":   func(f *checkpoint.Fingerprint) { f.Seed = 999 },
@@ -242,7 +242,7 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err := Run(context.Background(), Config{
-				Workers: 1, Dir: dir, Scan: spec,
+				Workers: 1, Dir: dir, Scan: testScan, Fingerprints: fps,
 				Binary: "/bin/false", // must never be reached
 			})
 			if !errors.Is(err, ErrFingerprintMismatch) {
@@ -265,8 +265,8 @@ func TestShardHandoffFingerprintGate(t *testing.T) {
 	if err := checkpoint.Save(paths.Checkpoint, snap); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), Config{
-		Workers: 1, Dir: dir, Scan: spec,
+	_, err := Run(context.Background(), Config{
+		Workers: 1, Dir: dir, Scan: testScan, Fingerprints: fps,
 		Binary:         "/bin/false",
 		MaxRespawns:    -1, // first crash is fatal: keeps the test fast
 		RespawnBackoff: time.Millisecond,
@@ -299,11 +299,7 @@ func TestRateFileRoundTrip(t *testing.T) {
 // TestLeaseGateRejectsForeignLease: a lease file from a different scan
 // configuration stops the fleet before any supervision starts.
 func TestLeaseGateRejectsForeignLease(t *testing.T) {
-	spec := ScanSpec{Ranges: []string{"10.9.0.0/24"}, Seed: 11}
-	fps, err := spec.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fps := testFingerprints(1)
 	dir := t.TempDir()
 	paths := PathsFor(dir, 0, 1, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
@@ -320,8 +316,8 @@ func TestLeaseGateRejectsForeignLease(t *testing.T) {
 	if err := checkpoint.SaveLease(paths.Lease, lease); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), Config{
-		Workers: 1, Dir: dir, Scan: spec, Binary: "/bin/false",
+	_, err := Run(context.Background(), Config{
+		Workers: 1, Dir: dir, Scan: testScan, Fingerprints: fps, Binary: "/bin/false",
 	})
 	if !errors.Is(err, ErrFingerprintMismatch) {
 		t.Fatalf("foreign lease accepted: %v", err)

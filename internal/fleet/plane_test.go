@@ -84,7 +84,7 @@ func TestReallocateJournalsLostRateWrite(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	c := &coordinator{
-		cfg:   Config{Workers: 2, Dir: dir, RateBudget: 1000, Scan: ScanSpec{Format: "text"}},
+		cfg:   Config{Workers: 2, Dir: dir, RateBudget: 1000, Format: "text"},
 		log:   slog.New(slog.DiscardHandler),
 		jr:    trace.New(trace.Config{Shards: 1, SampleEvery: -1}),
 		alive: []bool{true, true},

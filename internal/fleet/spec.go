@@ -23,9 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-
-	"zmapgo/internal/checkpoint"
-	"zmapgo/internal/target"
 )
 
 // WorkerSpecEnv is the environment variable the coordinator sets on
@@ -35,7 +32,7 @@ import (
 const WorkerSpecEnv = "ZMAPGO_FLEET_WORKER_SPEC"
 
 // SpecFormatVersion identifies the worker spec schema.
-const SpecFormatVersion = 1
+const SpecFormatVersion = 2
 
 // Worker exit codes, the coordinator's respawn policy keys off them:
 // config and fingerprint failures are deterministic, so respawning would
@@ -47,102 +44,6 @@ const (
 	ExitFenced      = 4 // lease epoch moved on: another worker owns the shard
 	ExitFingerprint = 5 // checkpoint fingerprint mismatch: fatal, never respawn
 )
-
-// ScanSpec is the scan configuration every worker in a fleet shares.
-// Fields mirror the CLI-shaped zmap.Options subset that makes sense for
-// the simulated-internet fleet; Seed must be non-zero so every worker
-// derives the identical permutation (a clock-derived seed would give
-// each process a different target ordering and break the pizza union).
-type ScanSpec struct {
-	Ranges    []string `json:"ranges,omitempty"`
-	Blocklist []string `json:"blocklist,omitempty"`
-	Ports     string   `json:"ports,omitempty"`
-	Probe     string   `json:"probe,omitempty"`
-	Seed      int64    `json:"seed"`
-
-	// Threads is sender goroutines per worker process.
-	Threads         int `json:"threads,omitempty"`
-	BatchSize       int `json:"batch_size,omitempty"`
-	ProbesPerTarget int `json:"probes_per_target,omitempty"`
-	DedupWindow     int `json:"dedup_window,omitempty"`
-
-	Cooldown    time.Duration `json:"cooldown,omitempty"`
-	CooldownMax time.Duration `json:"cooldown_max,omitempty"`
-	MaxRuntime  time.Duration `json:"max_runtime,omitempty"`
-
-	Format string `json:"format,omitempty"`
-	Filter string `json:"filter,omitempty"`
-
-	// Simulated-internet parameters. The sim seed must be shared: the
-	// population is a pure function of it, so every worker process
-	// observes the same hosts.
-	SimSeed            uint64  `json:"sim_seed"`
-	SimLossless        bool    `json:"sim_lossless,omitempty"`
-	SimDisableBlowback bool    `json:"sim_disable_blowback,omitempty"`
-	SimTimeScale       float64 `json:"sim_time_scale,omitempty"`
-}
-
-// applyDefaults mirrors core.Config's defaulting for every field that
-// participates in the checkpoint fingerprint, so the coordinator's
-// expected fingerprints match what workers compute through Compile.
-func (s *ScanSpec) applyDefaults() {
-	if s.Threads <= 0 {
-		s.Threads = 1
-	}
-	if s.ProbesPerTarget <= 0 {
-		s.ProbesPerTarget = 1
-	}
-	if s.Probe == "" {
-		s.Probe = "tcp_synscan"
-	}
-	if s.Ports == "" {
-		s.Ports = "80"
-	}
-}
-
-// Fingerprints computes the expected checkpoint fingerprint of every
-// shard in a fleet of the given width, without compiling a scan. A
-// reclaimed shard resumed on a different worker adopts the lease only
-// when its checkpoint's fingerprint matches the slot's expected value;
-// see Snapshot.Verify.
-func (s *ScanSpec) Fingerprints(workers int) ([]checkpoint.Fingerprint, error) {
-	spec := *s
-	spec.applyDefaults()
-
-	cons := target.NewConstraint(len(spec.Ranges) == 0)
-	for _, r := range spec.Ranges {
-		if err := cons.AllowCIDR(r); err != nil {
-			return nil, fmt.Errorf("fleet: range %q: %w", r, err)
-		}
-	}
-	for _, b := range spec.Blocklist {
-		if err := cons.DenyCIDR(b); err != nil {
-			return nil, fmt.Errorf("fleet: blocklist %q: %w", b, err)
-		}
-	}
-	cons.Finalize()
-
-	ports, err := target.ParsePorts(spec.Ports)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: ports: %w", err)
-	}
-
-	fps := make([]checkpoint.Fingerprint, workers)
-	for i := range fps {
-		fps[i] = checkpoint.Fingerprint{
-			Seed:            spec.Seed,
-			Shards:          workers,
-			ShardIndex:      i,
-			Threads:         spec.Threads,
-			ShardMode:       "pizza",
-			ProbeModule:     spec.Probe,
-			Ports:           ports.String(),
-			ProbesPerTarget: spec.ProbesPerTarget,
-			TargetsDigest:   cons.Digest(),
-		}
-	}
-	return fps, nil
-}
 
 // outputExt maps an output format to the run-file extension.
 func outputExt(format string) string {
@@ -214,13 +115,11 @@ type WorkerSpec struct {
 	// any other epoch are fenced (checkpoint.ErrLeaseFenced).
 	Epoch int `json:"epoch"`
 
-	Scan ScanSpec `json:"scan"`
-
-	// RatePPS is the worker's configured rate ceiling — the full fleet
-	// budget, not its share. The live share arrives through the rate
-	// file (Paths.Rate), so the coordinator can move it both down and
-	// up as fleet membership changes.
-	RatePPS float64 `json:"rate_pps,omitempty"`
+	// Scan is Config.Scan, carried and never decoded. It holds the rate
+	// ceiling too — the full fleet budget; the live share arrives through
+	// the rate file (Paths.Rate), so the coordinator can move it both
+	// down and up as fleet membership changes.
+	Scan json.RawMessage `json:"scan"`
 
 	// Resume tells the worker to load Paths.Checkpoint and continue
 	// from it (fingerprint-verified; mismatch exits ExitFingerprint).
@@ -276,9 +175,6 @@ func LoadWorkerSpec(path string) (*WorkerSpec, error) {
 	}
 	if w.Shards <= 0 || w.Shard < 0 || w.Shard >= w.Shards {
 		return nil, fmt.Errorf("fleet: worker spec names shard %d of %d", w.Shard, w.Shards)
-	}
-	if w.Scan.Seed == 0 {
-		return nil, fmt.Errorf("fleet: worker spec carries seed 0 (fleet scans require a fixed seed)")
 	}
 	return &w, nil
 }

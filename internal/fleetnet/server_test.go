@@ -64,10 +64,12 @@ func newTestServer(t *testing.T, token string) (*Server, *journalSink, string) {
 // coordinator would, returning the spec and its fingerprint.
 func grantShard(t *testing.T, srv *Server, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
-	scan := fleet.ScanSpec{Ranges: []string{"10.9.0.0/28"}, Seed: 5, Format: "text", SimSeed: 1}
-	fps, err := scan.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
+	// The scan document is opaque to the plane: it must only come back
+	// from the spec RPC as it went in.
+	scan := json.RawMessage(`{"options":{"ranges":["10.9.0.0/28"],"seed":5},"sim":{"seed":1}}`)
+	fp := checkpoint.Fingerprint{
+		Seed: 5, Shards: 1, Threads: 1, ShardMode: "pizza", ProbeModule: "tcp_synscan",
+		Ports: "80", ProbesPerTarget: 1, TargetsDigest: "d0928",
 	}
 	paths := fleet.PathsFor(dir, 0, epoch, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
@@ -81,12 +83,12 @@ func grantShard(t *testing.T, srv *Server, dir string, epoch int) (*fleet.Worker
 	lease := &checkpoint.Lease{
 		FleetID: "net-test", ShardIndex: 0, Epoch: epoch,
 		WorkerID: spec.WorkerID(), State: checkpoint.LeaseGranted,
-		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: fps[0],
+		GrantedAt: now, RenewedAt: now, TTLSecs: 5, Fingerprint: fp,
 	}
 	if err := srv.Grant(spec, lease); err != nil {
 		t.Fatal(err)
 	}
-	return spec, fps[0]
+	return spec, fp
 }
 
 // postChunk uploads one result chunk and returns the HTTP status plus

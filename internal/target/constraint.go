@@ -84,10 +84,11 @@ func (c *Constraint) DenyCIDR(s string) error {
 	return nil
 }
 
-// LoadBlocklist reads a ZMap-format blocklist — one CIDR per line, '#'
+// ReadBlocklist reads a ZMap-format blocklist — one CIDR per line, '#'
 // starts a comment, trailing annotations after whitespace are ignored —
-// and denies every entry. It returns the number of entries applied.
-func (c *Constraint) LoadBlocklist(r io.Reader) (int, error) {
+// and hands every entry to deny (a Constraint's DenyCIDR, say), stopping
+// at its first error. It returns the number of entries accepted.
+func ReadBlocklist(r io.Reader, deny func(cidr string) error) (int, error) {
 	scanner := bufio.NewScanner(r)
 	n, line := 0, 0
 	for scanner.Scan() {
@@ -100,7 +101,7 @@ func (c *Constraint) LoadBlocklist(r io.Reader) (int, error) {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := c.DenyCIDR(fields[0]); err != nil {
+		if err := deny(fields[0]); err != nil {
 			return n, fmt.Errorf("target: blocklist line %d: %w", line, err)
 		}
 		n++

@@ -189,7 +189,7 @@ func TestLoadBlocklist(t *testing.T) {
 
 10.0.2.1
 `
-	n, err := c.LoadBlocklist(strings.NewReader(src))
+	n, err := ReadBlocklist(strings.NewReader(src), c.DenyCIDR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestLoadBlocklist(t *testing.T) {
 	if got := c.Count(); got != 65536-256-256-1 {
 		t.Errorf("Count = %d", got)
 	}
-	if _, err := c.LoadBlocklist(strings.NewReader("bogus/99")); err == nil {
+	if _, err := ReadBlocklist(strings.NewReader("bogus/99"), c.DenyCIDR); err == nil {
 		t.Error("bad blocklist line accepted")
 	}
 }

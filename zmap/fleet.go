@@ -2,10 +2,15 @@ package zmap
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"log/slog"
 	"os"
+	"reflect"
 	"time"
 
+	"zmapgo/internal/checkpoint"
 	"zmapgo/internal/fleet"
 	"zmapgo/internal/fleetnet"
 )
@@ -55,36 +60,21 @@ type FleetOptions struct {
 	// binary, which must call FleetWorkerMain at the top of main().
 	Binary string
 
-	// Scan shape (the zmap.Options subset a fleet distributes).
+	// Scan is the scan every worker runs; it travels to them whole.
 	// Seed is required and must be non-zero: every worker derives the
 	// same target permutation from it, which is what makes the pizza
-	// shards a disjoint cover of the space.
-	Ranges          []string
-	Blocklist       []string
-	Ports           string
-	Probe           string
-	Seed            int64
-	Threads         int // sender threads per worker
-	BatchSize       int
-	ProbesPerTarget int
-	DedupWindow     int
-	Cooldown        time.Duration
-	CooldownMax     time.Duration
-	MaxRuntime      time.Duration
-	Format          string
-	Filter          string
+	// shards a disjoint cover of the space. Rate (or Bandwidth) is the
+	// aggregate fleet budget (0 = unlimited): live workers share it
+	// equally; a dead worker's slice moves to the survivors until its
+	// shard respawns. RunFleet refuses by name, rather than drop, the
+	// fields that cannot travel or that the fleet sets per worker.
+	Scan Options
 
-	// Rate is the aggregate fleet budget in probes/sec (0 =
-	// unlimited). Live workers share it equally; a dead worker's
-	// slice moves to the survivors until its shard respawns.
-	Rate float64
-
-	// Simulated Internet shared by all workers (the population is a
-	// pure function of SimSeed, so every process sees the same hosts).
-	SimSeed            uint64
-	SimLossless        bool
-	SimDisableBlowback bool
-	SimTimeScale       float64
+	// Sim is the simulated Internet shared by all workers (the
+	// population is a pure function of Sim.Seed, so every process sees
+	// the same hosts); SimTimeScale compresses its RTTs (see NewLink).
+	Sim          SimOptions
+	SimTimeScale float64
 
 	// Supervision knobs; zero values take the fleet defaults
 	// (2s lease TTL, TTL/4 heartbeat, 500ms checkpoints, 5 respawns,
@@ -139,60 +129,74 @@ type FleetOptions struct {
 	Logger  *slog.Logger
 }
 
-// RunFleet splits the scan into Workers pizza shards and runs each in a
-// supervised worker process: heartbeat leases detect crashed or hung
-// workers, which are reclaimed and respawned from their last durable
-// checkpoint with bounded backoff (at-least-once per shard), and the
-// per-shard outputs are merged with cross-shard deduplication back to
-// exactly-once. The merged result is byte-equivalent to an
-// uninterrupted single-process scan of the same space (text format,
-// sorted-unique), faults or not.
-func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
-	if o.Workers <= 0 {
-		o.Workers = 1
+// fleetScan is the document a fleet distributes: the coordinator and
+// its control planes carry it as opaque JSON, each worker decodes it.
+type fleetScan struct {
+	Options      Options    `json:"options"`
+	Sim          SimOptions `json:"sim"`
+	SimTimeScale float64    `json:"sim_time_scale,omitempty"`
+}
+
+func decodeFleetScan(doc []byte) (scan fleetScan, err error) {
+	if err = json.Unmarshal(doc, &scan); err == nil && scan.Options.Seed == 0 {
+		err = errors.New("zmap: fleet scan document carries seed 0 (fleet scans require a fixed seed)")
 	}
-	dir := o.Dir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "zmapgo-fleet-"); err != nil {
-			return nil, err
+	return scan, err
+}
+
+// fleetRefusal names the first field a fleet's scan may not set: every
+// field that does not serialise (`json:"-"`), so that none can be left
+// behind unnoticed, and what the worker runtime sets itself. Refusing
+// beats dropping: a scan that skipped an operator's blocklist because
+// its reader could not travel would look like success.
+func (o Options) fleetRefusal() error {
+	v := reflect.ValueOf(o)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.Tag.Get("json") == "-" && !v.Field(i).IsZero() {
+			return fmt.Errorf("zmap: FleetOptions.Scan.%s is local to one process and cannot travel to a fleet's workers "+
+				"(a BlocklistFile's entries go in Blocklist; FleetOptions has the fleet's outputs, Metrics and Logger)", f.Name)
 		}
 	}
-	var plane fleet.ControlPlane
-	if o.Listen != "" || o.RemoteWorkers || o.OnListen != nil {
-		plane = fleetnet.NewServer(fleetnet.ServerOptions{
-			Listen:    o.Listen,
-			Advertise: o.Advertise,
-			Token:     o.JoinToken,
-			OnListen:  o.OnListen,
-		})
+	switch {
+	case o.CheckpointPath != "" || o.CheckpointInterval != 0:
+		return errors.New("zmap: FleetOptions.Scan.CheckpointPath/CheckpointInterval: each worker checkpoints into its shard directory, every FleetOptions.CheckpointInterval")
+	case o.Shards != 0 && o.Shards != 1 || o.ShardIndex != 0:
+		return errors.New("zmap: FleetOptions.Scan.Shards/ShardIndex: the fleet shards the scan by FleetOptions.Workers")
+	case o.Seed == 0:
+		return errors.New("zmap: FleetOptions.Scan.Seed must be fixed and non-zero: every worker derives the same permutation from it")
 	}
-	cfg := fleet.Config{
-		Workers: o.Workers,
-		Dir:     dir,
-		Binary:  o.Binary,
-		Plane:   plane,
-		Scan: fleet.ScanSpec{
-			Ranges:             o.Ranges,
-			Blocklist:          o.Blocklist,
-			Ports:              o.Ports,
-			Probe:              o.Probe,
-			Seed:               o.Seed,
-			Threads:            o.Threads,
-			BatchSize:          o.BatchSize,
-			ProbesPerTarget:    o.ProbesPerTarget,
-			DedupWindow:        o.DedupWindow,
-			Cooldown:           o.Cooldown,
-			CooldownMax:        o.CooldownMax,
-			MaxRuntime:         o.MaxRuntime,
-			Format:             o.Format,
-			Filter:             o.Filter,
-			SimSeed:            o.SimSeed,
-			SimLossless:        o.SimLossless,
-			SimDisableBlowback: o.SimDisableBlowback,
-			SimTimeScale:       o.SimTimeScale,
-		},
-		RateBudget:         o.Rate,
+	return nil
+}
+
+// config compiles the scan's front half once for what the coordinator
+// needs of it: the rate budget and each shard's expected fingerprint —
+// the Config.Fingerprint a worker's Compile embeds in its checkpoints.
+func (o FleetOptions) config() (fleet.Config, error) {
+	if err := o.Scan.fleetRefusal(); err != nil {
+		return fleet.Config{}, err
+	}
+	scan, err := o.Scan.config()
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	doc, err := json.Marshal(fleetScan{Options: o.Scan, Sim: o.Sim, SimTimeScale: o.SimTimeScale})
+	if err != nil {
+		return fleet.Config{}, err
+	}
+	scan.Shards = o.Workers
+	fps := make([]checkpoint.Fingerprint, o.Workers)
+	for i := range fps {
+		scan.ShardIndex = i
+		fps[i] = scan.Fingerprint()
+	}
+	return fleet.Config{
+		Workers:            o.Workers,
+		Dir:                o.Dir,
+		Binary:             o.Binary,
+		Scan:               doc,
+		Format:             o.Scan.Format,
+		Fingerprints:       fps,
+		RateBudget:         scan.Rate,
 		LeaseTTL:           o.LeaseTTL,
 		HeartbeatInterval:  o.HeartbeatInterval,
 		CheckpointInterval: o.CheckpointInterval,
@@ -207,6 +211,37 @@ func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
 		TracePath:          o.TracePath,
 		Metrics:            o.Metrics,
 		Logger:             o.Logger,
+	}, nil
+}
+
+// RunFleet splits the scan into Workers pizza shards and runs each in a
+// supervised worker process: heartbeat leases detect crashed or hung
+// workers, which are reclaimed and respawned from their last durable
+// checkpoint with bounded backoff (at-least-once per shard), and the
+// per-shard outputs are merged with cross-shard deduplication back to
+// exactly-once. The merged result is byte-equivalent to an
+// uninterrupted single-process scan of the same space (text format,
+// sorted-unique), faults or not.
+func RunFleet(ctx context.Context, o FleetOptions) (*FleetResult, error) {
+	if o.Workers <= 0 {
+		o.Workers = 1
+	}
+	cfg, err := o.config()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Dir == "" {
+		if cfg.Dir, err = os.MkdirTemp("", "zmapgo-fleet-"); err != nil {
+			return nil, err
+		}
+	}
+	if o.Listen != "" || o.RemoteWorkers || o.OnListen != nil {
+		cfg.Plane = fleetnet.NewServer(fleetnet.ServerOptions{
+			Listen:    o.Listen,
+			Advertise: o.Advertise,
+			Token:     o.JoinToken,
+			OnListen:  o.OnListen,
+		})
 	}
 	return fleet.Run(ctx, cfg)
 }

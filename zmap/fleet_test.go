@@ -33,28 +33,14 @@ func TestMain(m *testing.M) {
 // the probed targets and exact-count comparisons are meaningful.
 const fleetSimSeed = 1234
 
+var fleetSim = SimOptions{Seed: fleetSimSeed, Lossless: true, DisableBlowback: true}
+
 // referenceLines runs the same scan uninterrupted in a single process
 // and returns its result lines sorted the way the fleet merge sorts:
 // numerically by address, then port.
 func referenceLines(t *testing.T, ranges []string, seed int64) []string {
 	t.Helper()
-	in := NewInternet(SimOptions{Seed: fleetSimSeed, Lossless: true, DisableBlowback: true})
-	link := in.NewLink(1<<16, 0)
-	defer link.Close()
-	var buf bytes.Buffer
-	s, err := Options{
-		Ranges:   ranges,
-		Seed:     seed,
-		Results:  &buf,
-		Cooldown: 200 * time.Millisecond,
-	}.Compile(link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Fields(buf.String())
+	lines := scanLines(t, Options{Ranges: ranges, Seed: seed, Cooldown: 200 * time.Millisecond}, fleetSim)
 	sort.Slice(lines, func(i, j int) bool {
 		a, _ := target.ParseIPv4(lines[i])
 		b, _ := target.ParseIPv4(lines[j])
@@ -106,15 +92,15 @@ func countJournal(entries []trace.JEntry, kind string) int {
 // fleetOpts is the shared configuration for the acceptance runs.
 func fleetOpts(dir string, ranges []string) FleetOptions {
 	return FleetOptions{
-		Workers:            3,
-		Dir:                dir,
-		Ranges:             ranges,
-		Seed:               77,
-		Rate:               15000, // aggregate: 5000 pps per live worker
-		Cooldown:           200 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 3,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   ranges,
+			Seed:     77,
+			Rate:     15000, // aggregate: 5000 pps per live worker
+			Cooldown: 200 * time.Millisecond,
+		},
+		Sim:                fleetSim,
 		LeaseTTL:           700 * time.Millisecond,
 		CheckpointInterval: 150 * time.Millisecond,
 		MaxRespawns:        4,
@@ -253,15 +239,15 @@ func TestFleetSlowWorkerNotReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunFleet(context.Background(), FleetOptions{
-		Workers:            1,
-		Dir:                dir,
-		Ranges:             []string{"10.2.0.0/20"}, // 4096 addrs
-		Seed:               31,
-		Rate:               4000,
-		Cooldown:           150 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 1,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.2.0.0/20"}, // 4096 addrs
+			Seed:     31,
+			Rate:     4000,
+			Cooldown: 150 * time.Millisecond,
+		},
+		Sim:                fleetSim,
 		LeaseTTL:           900 * time.Millisecond,
 		CheckpointInterval: 100 * time.Millisecond,
 		Faults:             plan,
@@ -286,6 +272,60 @@ func TestFleetSlowWorkerNotReclaimed(t *testing.T) {
 	}
 }
 
+// TestFleetEqualsSingleProcessUnderEveryOption: a fleet is the single
+// process it claims to equal under options it could not carry before
+// the scan travelled whole — a non-default SYN option layout (which
+// changes who answers), the static IP ID, a batch size, a blocklist and
+// a second port. The merged output is the single-process scan's,
+// sorted-unique, and no row comes from a blocklisted prefix.
+func TestFleetEqualsSingleProcessUnderEveryOption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test")
+	}
+	scan := Options{
+		Ranges:     []string{"10.5.0.0/21"}, // 2048 addrs, 2 ports
+		Blocklist:  []string{"10.5.1.0/24", "10.5.4.0/23"},
+		Ports:      "80,443",
+		TCPOptions: "optimal",
+		StaticIPID: true,
+		BatchSize:  16,
+		Seed:       61,
+		Cooldown:   150 * time.Millisecond,
+	}
+	res, err := RunFleet(context.Background(), FleetOptions{
+		Workers: 2,
+		Dir:     t.TempDir(),
+		Scan:    scan,
+		Sim:     fleetSim,
+	})
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	got := sortedUnique(readLines(t, res.MergedOutput))
+	want := sortedUnique(scanLines(t, scan, fleetSim))
+	if len(want) < 20 {
+		t.Fatalf("reference scan found only %d rows; the comparison proves nothing", len(want))
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("fleet merge diverges from the single process: %d vs %d rows", len(got), len(want))
+	}
+	for _, row := range got {
+		for _, blocked := range []string{"10.5.1.", "10.5.4.", "10.5.5."} {
+			if strings.HasPrefix(row, blocked) {
+				t.Fatalf("row %q is inside the blocklist", row)
+			}
+		}
+	}
+	// Each worker's own summary says what it ran with.
+	for _, sh := range res.Shards {
+		m := sh.Summary
+		if m.OptionLayout != "optimal" || m.RandomIPID || m.Ports != "80,443" || m.Blocklisted != 768 {
+			t.Errorf("shard %d ran with layout %q, random IP ID %v, ports %q, %d blocklisted",
+				sh.Shard, m.OptionLayout, m.RandomIPID, m.Ports, m.Blocklisted)
+		}
+	}
+}
+
 // TestFleetRerunAdoptsFinishedShards: re-running a fleet over its own
 // completed directory must not rescan — finished shards are recognized
 // by their done leases and commit records, and the merge is rebuilt
@@ -296,14 +336,14 @@ func TestFleetRerunAdoptsFinishedShards(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := FleetOptions{
-		Workers:            2,
-		Dir:                dir,
-		Ranges:             []string{"10.3.0.0/22"}, // 1024 addrs, fast
-		Seed:               13,
-		Cooldown:           100 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 2,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.3.0.0/22"}, // 1024 addrs, fast
+			Seed:     13,
+			Cooldown: 100 * time.Millisecond,
+		},
+		Sim: fleetSim,
 	}
 	res1, err := RunFleet(context.Background(), opts)
 	if err != nil {
@@ -349,32 +389,37 @@ func TestFleetRerunAdoptsFinishedShards(t *testing.T) {
 // runFleetWorker tests (no processes involved).
 func workerSpecFixture(t *testing.T, dir string, epoch int) (*fleet.WorkerSpec, checkpoint.Fingerprint) {
 	t.Helper()
-	scan := fleet.ScanSpec{
-		Ranges:       []string{"10.4.0.0/26"},
-		Seed:         19,
-		Cooldown:     50 * time.Millisecond,
-		SimSeed:      fleetSimSeed,
-		SimLossless:  true,
-		SimTimeScale: 0,
-	}
-	fps, err := scan.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := oneShardConfig(t, Options{
+		Ranges:   []string{"10.4.0.0/26"},
+		Seed:     19,
+		Cooldown: 50 * time.Millisecond,
+	}, SimOptions{Seed: fleetSimSeed, Lossless: true})
 	paths := fleet.PathsFor(dir, 0, epoch, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := &fleet.WorkerSpec{
 		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: epoch,
-		Scan: scan, Paths: paths,
+		Scan: cfg.Scan, Paths: paths,
 		CheckpointInterval: 100 * time.Millisecond,
 		HeartbeatInterval:  100 * time.Millisecond,
 	}
 	if err := fleet.SaveWorkerSpec(paths.Spec, spec); err != nil {
 		t.Fatal(err)
 	}
-	return spec, fps[0]
+	return spec, cfg.Fingerprints[0]
+}
+
+// oneShardConfig is what RunFleet would hand the coordinator for a
+// one-worker fleet of this scan: the document a worker decodes and the
+// fingerprint expected of shard 0.
+func oneShardConfig(t *testing.T, scan Options, sim SimOptions) fleet.Config {
+	t.Helper()
+	cfg, err := FleetOptions{Workers: 1, Scan: scan, Sim: sim}.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 func writeLease(t *testing.T, path string, epoch int, fp checkpoint.Fingerprint) {
@@ -450,7 +495,7 @@ func TestFleetWorkerCompletesShard(t *testing.T) {
 	if l.State != checkpoint.LeaseDone {
 		t.Fatalf("lease state %q after completion", l.State)
 	}
-	ref := referenceLines(t, spec.Scan.Ranges, spec.Scan.Seed)
+	ref := referenceLines(t, []string{"10.4.0.0/26"}, 19)
 	got := readLines(t, spec.Paths.Output)
 	sort.Slice(got, func(i, j int) bool {
 		a, _ := target.ParseIPv4(got[i])

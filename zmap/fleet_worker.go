@@ -95,6 +95,11 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
+	scan, err := decodeFleetScan(spec.Scan)
+	if err != nil {
+		logger.Error("fleet worker: bad scan document", "err", err)
+		return fleet.ExitConfig
+	}
 	pid := os.Getpid()
 	hbInterval := spec.HeartbeatInterval
 	if hbInterval <= 0 {
@@ -211,40 +216,17 @@ func runFleetWorkerPlane(spec *fleet.WorkerSpec, plane fleet.WorkerPlane, logger
 		return fleet.ExitConfig
 	}
 
-	internet := NewInternet(SimOptions{
-		Seed:            spec.Scan.SimSeed,
-		Lossless:        spec.Scan.SimLossless,
-		DisableBlowback: spec.Scan.SimDisableBlowback,
-	})
-	link := internet.NewLink(0, spec.Scan.SimTimeScale)
+	link := NewInternet(scan.Sim).NewLink(0, scan.SimTimeScale)
 	defer link.Close()
 
+	// The scan travels whole, its rate (the full fleet budget) included;
+	// only what differs per worker is set here.
 	var metaBuf bytes.Buffer
-	opts := Options{
-		Ranges:             spec.Scan.Ranges,
-		Blocklist:          spec.Scan.Blocklist,
-		Ports:              spec.Scan.Ports,
-		Probe:              spec.Scan.Probe,
-		Seed:               spec.Scan.Seed,
-		Shards:             spec.Shards,
-		ShardIndex:         spec.Shard,
-		Threads:            spec.Scan.Threads,
-		Rate:               spec.RatePPS,
-		BatchSize:          spec.Scan.BatchSize,
-		ProbesPerTarget:    spec.Scan.ProbesPerTarget,
-		DedupWindow:        spec.Scan.DedupWindow,
-		Cooldown:           spec.Scan.Cooldown,
-		CooldownMax:        spec.Scan.CooldownMax,
-		MaxRuntime:         spec.Scan.MaxRuntime,
-		Format:             spec.Scan.Format,
-		Filter:             spec.Scan.Filter,
-		Results:            out,
-		Metadata:           &metaBuf,
-		CheckpointPath:     plane.CheckpointPath(),
-		CheckpointInterval: spec.CheckpointInterval,
-		Resume:             resume,
-		Logger:             logger,
-	}
+	opts := scan.Options
+	opts.Shards, opts.ShardIndex = spec.Shards, spec.Shard
+	opts.Results, opts.Metadata = out, &metaBuf
+	opts.CheckpointPath, opts.CheckpointInterval = plane.CheckpointPath(), spec.CheckpointInterval
+	opts.Resume, opts.Logger = resume, logger
 	scanner, err := opts.Compile(link)
 	if err != nil {
 		if errors.Is(err, ErrCheckpointMismatch) {

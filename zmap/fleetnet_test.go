@@ -37,30 +37,24 @@ func (p *partitionedPlane) Renew(pid int, now time.Time) (float64, error) {
 // of the partition too.
 func TestFleetWorkerSelfFencesPastTTL(t *testing.T) {
 	dir := t.TempDir()
-	scan := fleet.ScanSpec{
-		Ranges:             []string{"10.6.0.0/20"}, // 4096 addrs: ~2.7s at 1500 pps
-		Seed:               23,
-		Cooldown:           100 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
-	}
-	fps, err := scan.Fingerprints(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := oneShardConfig(t, Options{
+		Ranges:   []string{"10.6.0.0/20"}, // 4096 addrs: ~2.7s at 1500 pps
+		Seed:     23,
+		Rate:     1500,
+		Cooldown: 100 * time.Millisecond,
+	}, fleetSim)
 	paths := fleet.PathsFor(dir, 0, 1, "text")
 	if err := os.MkdirAll(paths.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := &fleet.WorkerSpec{
 		FleetID: "test-fleet", Shard: 0, Shards: 1, Epoch: 1,
-		Scan: scan, Paths: paths, RatePPS: 1500,
+		Scan: cfg.Scan, Paths: paths,
 		LeaseTTL:           400 * time.Millisecond,
 		HeartbeatInterval:  100 * time.Millisecond,
 		CheckpointInterval: 100 * time.Millisecond,
 	}
-	writeLease(t, paths.Lease, 1, fps[0])
+	writeLease(t, paths.Lease, 1, cfg.Fingerprints[0])
 
 	plane := &partitionedPlane{fleet.NewFSWorkerPlane(spec, nil)}
 	start := time.Now()
@@ -94,14 +88,14 @@ func TestFleetRerunAdoptsLostDoneMark(t *testing.T) {
 	}
 	dir := t.TempDir()
 	opts := FleetOptions{
-		Workers:            2,
-		Dir:                dir,
-		Ranges:             []string{"10.3.64.0/22"}, // 1024 addrs, fast
-		Seed:               13,
-		Cooldown:           100 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 2,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   []string{"10.3.64.0/22"}, // 1024 addrs, fast
+			Seed:     13,
+			Cooldown: 100 * time.Millisecond,
+		},
+		Sim: fleetSim,
 	}
 	res1, err := RunFleet(context.Background(), opts)
 	if err != nil {
@@ -170,14 +164,14 @@ func TestFleetNetCleanRun(t *testing.T) {
 	ref := referenceLines(t, ranges, 41)
 	dir := t.TempDir()
 	opts := FleetOptions{
-		Workers:            2,
-		Dir:                dir,
-		Ranges:             ranges,
-		Seed:               41,
-		Cooldown:           150 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 2,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   ranges,
+			Seed:     41,
+			Cooldown: 150 * time.Millisecond,
+		},
+		Sim:                fleetSim,
 		LeaseTTL:           time.Second,
 		CheckpointInterval: 150 * time.Millisecond,
 		Listen:             "127.0.0.1:0",
@@ -233,14 +227,14 @@ func TestFleetNetRemoteWorkersJoin(t *testing.T) {
 	defer cancel()
 	var wg sync.WaitGroup
 	opts := FleetOptions{
-		Workers:            2,
-		Dir:                dir,
-		Ranges:             ranges,
-		Seed:               53,
-		Cooldown:           150 * time.Millisecond,
-		SimSeed:            fleetSimSeed,
-		SimLossless:        true,
-		SimDisableBlowback: true,
+		Workers: 2,
+		Dir:     dir,
+		Scan: Options{
+			Ranges:   ranges,
+			Seed:     53,
+			Cooldown: 150 * time.Millisecond,
+		},
+		Sim:                fleetSim,
 		LeaseTTL:           time.Second,
 		CheckpointInterval: 100 * time.Millisecond,
 		Listen:             "127.0.0.1:0",

@@ -19,12 +19,12 @@ type Internet struct {
 // the paper-calibrated defaults" (see internal/netsim.DefaultConfig).
 type SimOptions struct {
 	// Seed selects the population.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Lossless disables transient packet loss (useful for exact-count
 	// experiments; the default models ~2.7% single-probe miss).
-	Lossless bool
+	Lossless bool `json:"lossless,omitempty"`
 	// DisableBlowback removes duplicate-response trains.
-	DisableBlowback bool
+	DisableBlowback bool `json:"disable_blowback,omitempty"`
 }
 
 // NewInternet creates a simulated Internet.

@@ -12,6 +12,7 @@
 package zmap
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -25,8 +26,8 @@ import (
 	"zmapgo/internal/metrics"
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
+	"zmapgo/internal/probe"
 	"zmapgo/internal/ratelimit"
-	"zmapgo/internal/shard"
 	"zmapgo/internal/target"
 )
 
@@ -99,76 +100,74 @@ func Schema() []output.FieldDoc { return output.Schema() }
 // ZMap's defaults. Compile validates and turns them into a Scanner.
 type Options struct {
 	// Ranges lists target CIDRs (empty = entire IPv4 space).
-	Ranges []string
+	Ranges []string `json:"ranges,omitempty"`
 	// Blocklist lists excluded CIDRs (applied after Ranges).
-	Blocklist []string
+	Blocklist []string `json:"blocklist,omitempty"`
 	// BlocklistFile is parsed in ZMap blocklist format, if non-nil.
-	BlocklistFile io.Reader
+	BlocklistFile io.Reader `json:"-"`
 
 	// Ports uses ZMap port syntax: "80", "80,443", "8000-8010", "*".
-	Ports string
+	Ports string `json:"ports,omitempty"`
 
 	// Probe selects the probe module (default tcp_synscan).
-	Probe string
+	Probe string `json:"probe,omitempty"`
 
 	// Rate is probes/sec; Bandwidth ("10M", "1G") overrides Rate when
 	// set, converted using the probe's on-wire size.
-	Rate      float64
-	Bandwidth string
+	Rate      float64 `json:"rate,omitempty"`
+	Bandwidth string  `json:"bandwidth,omitempty"`
 
 	// BatchSize is how many probe frames each sender thread hands the
 	// transport per flush (0 = default 64; 1 degenerates to per-probe
 	// sends). Larger batches amortize per-send overhead; progress and
 	// rate accounting stay exact at any size.
-	BatchSize int
+	BatchSize int `json:"batch_size,omitempty"`
 
 	// RecvWorkers is how many sharded receive workers parse, validate,
 	// and deduplicate responses (0 = default 1, the classic single
 	// receive thread; values round up to a power of two). Responses fan
 	// out by flow hash, so every response for one target lands on the
 	// same worker and output stays equivalent at any worker count.
-	RecvWorkers int
+	RecvWorkers int `json:"recv_workers,omitempty"`
 
 	// Seed fixes the target permutation; 0 derives one from the clock.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
 	// Sharding: this process is shard ShardIndex of Shards total, with
 	// Threads sender goroutines.
-	Shards     int
-	ShardIndex int
-	Threads    int
-	// InterleavedSharding selects the legacy pre-2017 scheme.
-	InterleavedSharding bool
+	Shards     int `json:"shards,omitempty"`
+	ShardIndex int `json:"shard_index,omitempty"`
+	Threads    int `json:"threads,omitempty"`
 
 	// TCPOptions names the SYN option layout: none, mss (default),
 	// sack, timestamp, wscale, optimal, linux, bsd, windows.
-	TCPOptions string
+	TCPOptions string `json:"tcp_options,omitempty"`
 
 	// StaticIPID restores the classic fingerprintable IP ID 54321; the
 	// default is the modern random per-probe ID (§4.3, 2024 change).
-	StaticIPID bool
+	StaticIPID bool `json:"static_ip_id,omitempty"`
 
 	// ProbesPerTarget re-sends each probe k times.
-	ProbesPerTarget int
+	ProbesPerTarget int `json:"probes_per_target,omitempty"`
 
 	// MaxTargets caps (IP, port) targets probed by this shard.
-	MaxTargets uint64
+	MaxTargets uint64 `json:"max_targets,omitempty"`
 
 	// Cooldown keeps the receiver open after sending (default 8s). The
 	// cooldown is quiescence-based: it ends once no response has arrived
 	// for a full Cooldown, extending while stragglers keep trickling in,
 	// bounded by CooldownMax (0 = 4x Cooldown; negative = fixed legacy
 	// behavior, exactly Cooldown).
-	Cooldown    time.Duration
-	CooldownMax time.Duration
+	Cooldown    time.Duration `json:"cooldown,omitempty"`
+	CooldownMax time.Duration `json:"cooldown_max,omitempty"`
 
 	// AdaptiveRate enables the closed-loop scan-health controller: the
 	// aggregate rate is cut multiplicatively when the windowed hit rate
 	// collapses or ICMP unreachables spike (the network is shedding our
 	// load), then recovered additively toward Rate. Requires a finite
 	// Rate or Bandwidth. MinRate floors the decrease (0 = Rate/64).
-	AdaptiveRate bool
-	MinRate      float64
+	AdaptiveRate bool    `json:"adaptive_rate,omitempty"`
+	MinRate      float64 `json:"min_rate,omitempty"`
 
 	// QuarantineThreshold tunes per-/16 interference quarantine: a
 	// previously-responsive prefix whose windowed response rate drops
@@ -176,88 +175,88 @@ type Options struct {
 	// health ticks stops being probed, and the event is recorded in the
 	// Summary. 0 = default 0.15 when the health subsystem is on
 	// (AdaptiveRate or an explicit threshold); negative disables.
-	QuarantineThreshold float64
+	QuarantineThreshold float64 `json:"quarantine_threshold,omitempty"`
 
 	// HealthInterval is the health controller's evaluation period
 	// (0 = 1s).
-	HealthInterval time.Duration
+	HealthInterval time.Duration `json:"health_interval,omitempty"`
 
 	// Health optionally overrides every scan-health knob — collapse
 	// evidence persistence, hold periods, quarantine parole cadence —
 	// beyond the common fields above. Zero-valued fields inherit
 	// AdaptiveRate/MinRate/QuarantineThreshold/HealthInterval, then the
 	// health package defaults.
-	Health *health.Config
+	Health *health.Config `json:"-"`
 
 	// MaxRuntime stops sending after this duration (0 = unlimited).
-	MaxRuntime time.Duration
+	MaxRuntime time.Duration `json:"max_runtime,omitempty"`
 
 	// Retries bounds per-probe re-sends after transient transport
 	// errors, ZMap's ENOBUFS behavior (0 = default 10, negative = none).
-	Retries int
+	Retries int `json:"retries,omitempty"`
 
 	// Backoff is the initial retry backoff, doubled per attempt and
 	// capped at 64x (0 = 1ms default).
-	Backoff time.Duration
+	Backoff time.Duration `json:"backoff,omitempty"`
 
 	// MaxSenderRestarts bounds supervised sender-thread restarts after
 	// panics or fatal transport errors (0 = default 2, negative = none).
-	MaxSenderRestarts int
+	MaxSenderRestarts int `json:"max_sender_restarts,omitempty"`
 
 	// CheckpointPath makes the scan crash-safe: a snapshot of scan state
 	// is written atomically to this file every CheckpointInterval
 	// (default 5s) and once more, exactly, at the end of the scan or on
 	// a graceful Stop. Resume a killed scan by loading the file with
 	// LoadCheckpoint into Resume.
-	CheckpointPath     string
-	CheckpointInterval time.Duration
+	CheckpointPath     string        `json:"checkpoint_path,omitempty"`
+	CheckpointInterval time.Duration `json:"checkpoint_interval,omitempty"`
 
 	// Resume restores an interrupted scan from a checkpoint. The
 	// snapshot's fingerprint must match this configuration (Compile
 	// fails with ErrCheckpointMismatch otherwise); a zero Seed is
 	// adopted from the snapshot.
-	Resume *Checkpoint
+	Resume *Checkpoint `json:"-"`
 
 	// DedupWindow sizes response deduplication (0 = default 10^6,
 	// negative disables).
-	DedupWindow int
+	DedupWindow int `json:"dedup_window,omitempty"`
 
 	// SourceIP is the scanner's address (defaults to 192.0.2.1, the
 	// TEST-NET address, which the simulator treats as external).
-	SourceIP string
+	SourceIP string `json:"source_ip,omitempty"`
 
 	// Output: Format is text|csv|jsonl; Filter is a ZMap output filter
 	// expression (default "success = 1 && repeat = 0"); Results is the
 	// destination (default: discard, counts only).
-	Format  string
-	Filter  string
-	Results io.Writer
+	Format  string    `json:"format,omitempty"`
+	Filter  string    `json:"filter,omitempty"`
+	Results io.Writer `json:"-"`
 
 	// StatusUpdates receives 1 Hz progress lines (ZMap's third output
 	// stream). StatusFormat selects "csv" (default, ZMap-compatible
 	// columns) or "json" (one object per line with per-thread rates and
 	// send-latency quantiles). StatusCSVHeader prepends the CSV column
 	// header line. StatusInterval overrides the 1 s cadence (tests).
-	StatusUpdates   io.Writer
-	StatusFormat    string
-	StatusCSVHeader bool
-	StatusInterval  time.Duration
+	StatusUpdates   io.Writer     `json:"-"`
+	StatusFormat    string        `json:"status_format,omitempty"`
+	StatusCSVHeader bool          `json:"status_csv_header,omitempty"`
+	StatusInterval  time.Duration `json:"status_interval,omitempty"`
 	// Metrics optionally supplies the registry the scan records into;
 	// nil creates a private one, available via Scanner.Metrics.
-	Metrics *MetricsRegistry
+	Metrics *MetricsRegistry `json:"-"`
 
 	// TraceSampleEvery tunes the flight recorder's probe-lifecycle
 	// sampling: 1 in N targets is traced end-to-end (0 = default 256,
 	// rounded up to a power of two; 1 traces every target; negative
 	// disables probe sampling — the decision journal always stays on).
-	TraceSampleEvery int
+	TraceSampleEvery int `json:"trace_sample_every,omitempty"`
 	// TraceRingSize is the recorder's per-shard event capacity
 	// (0 = default 8192).
-	TraceRingSize int
+	TraceRingSize int `json:"trace_ring_size,omitempty"`
 	// Metadata receives the end-of-scan JSON document.
-	Metadata io.Writer
+	Metadata io.Writer `json:"-"`
 	// Logger receives structured logs; nil discards them.
-	Logger *slog.Logger
+	Logger *slog.Logger `json:"-"`
 }
 
 // Scanner is a compiled, runnable scan.
@@ -265,32 +264,29 @@ type Scanner struct {
 	inner *core.Scanner
 }
 
-// Compile validates options and prepares a scanner bound to transport.
-func (o Options) Compile(transport Transport) (*Scanner, error) {
+// config is Compile's front half: the CLI-shaped values parsed into the
+// engine's Config, no scanner built. RunFleet runs it alone.
+func (o Options) config() (none core.Config, err error) {
 	cons := target.NewConstraint(len(o.Ranges) == 0)
 	for _, r := range o.Ranges {
 		if err := cons.AllowCIDR(r); err != nil {
-			return nil, err
+			return none, err
 		}
 	}
 	for _, b := range o.Blocklist {
 		if err := cons.DenyCIDR(b); err != nil {
-			return nil, err
+			return none, err
 		}
 	}
 	if o.BlocklistFile != nil {
-		if _, err := cons.LoadBlocklist(o.BlocklistFile); err != nil {
-			return nil, err
+		if _, err := target.ReadBlocklist(o.BlocklistFile, cons.DenyCIDR); err != nil {
+			return none, err
 		}
 	}
 
-	portSpec := o.Ports
-	if portSpec == "" {
-		portSpec = "80"
-	}
-	ports, err := target.ParsePorts(portSpec)
+	ports, err := target.ParsePorts(cmp.Or(o.Ports, "80"))
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 
 	layout := packet.LayoutMSS
@@ -298,7 +294,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		var ok bool
 		layout, ok = packet.ParseOptionLayout(o.TCPOptions)
 		if !ok {
-			return nil, fmt.Errorf("zmap: unknown TCP option layout %q", o.TCPOptions)
+			return none, fmt.Errorf("zmap: unknown TCP option layout %q", o.TCPOptions)
 		}
 	}
 
@@ -306,9 +302,13 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	if o.Bandwidth != "" {
 		bits, err := ratelimit.ParseBandwidth(o.Bandwidth)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		frameLen := packet.SYNFrameLen(layout)
+		mod, err := probe.Lookup(cmp.Or(o.Probe, core.DefaultProbeModule))
+		if err != nil {
+			return none, err
+		}
+		frameLen := mod.ProbeLen(&probe.Context{Options: layout})
 		rate = ratelimit.BandwidthToRate(bits, packet.WireLen(frameLen))
 	}
 
@@ -316,35 +316,26 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	if o.SourceIP != "" {
 		srcIP, err = target.ParseIPv4(o.SourceIP)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 	}
 
-	filterExpr := o.Filter
-	if filterExpr == "" {
-		filterExpr = output.DefaultFilterExpr
-	}
-	filter, err := output.CompileFilter(filterExpr)
+	filter, err := output.CompileFilter(cmp.Or(o.Filter, output.DefaultFilterExpr))
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	var results output.Writer
 	if o.Results != nil {
 		w, err := output.NewWriter(o.Format, o.Results, ports.Len() > 1)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		results = &output.Filtered{W: w, Filter: filter}
 	} else {
 		results = &output.CountingWriter{}
 	}
 
-	mode := shard.Pizza
-	if o.InterleavedSharding {
-		mode = shard.Interleaved
-	}
-
-	cfg := core.Config{
+	return core.Config{
 		ProbeModule:         o.Probe,
 		Constraint:          cons,
 		Ports:               ports,
@@ -352,7 +343,6 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		Shards:              o.Shards,
 		ShardIndex:          o.ShardIndex,
 		Threads:             o.Threads,
-		ShardMode:           mode,
 		Rate:                rate,
 		BatchSize:           o.BatchSize,
 		RecvWorkers:         o.RecvWorkers,
@@ -388,6 +378,14 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 		DedupWindow:         o.DedupWindow,
 		TraceSampleEvery:    o.TraceSampleEvery,
 		TraceRingSize:       o.TraceRingSize,
+	}, nil
+}
+
+// Compile validates options and prepares a scanner bound to transport.
+func (o Options) Compile(transport Transport) (*Scanner, error) {
+	cfg, err := o.config()
+	if err != nil {
+		return nil, err
 	}
 	inner, err := core.New(cfg, transport)
 	if err != nil {
