@@ -347,8 +347,8 @@ func run(args []string) int {
 		dumpTrace("scan end")
 	}
 	rowsLost := ""
-	if n := scanner.Metrics().Counter("zmapgo_results_rows_lost_total", "").Value(); n > 0 {
-		rowsLost = fmt.Sprintf(", %d rows lost", n)
+	if summary.RowsLost > 0 {
+		rowsLost = fmt.Sprintf(", %d rows lost", summary.RowsLost)
 	}
 	fmt.Fprintf(os.Stderr,
 		"zmapgo: sent %d probes, %d unique successes (hit rate %.3f%%), %d dups, %.0f pps%s\n",

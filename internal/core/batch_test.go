@@ -109,6 +109,7 @@ func TestScanBatchedFaultyTransport(t *testing.T) {
 			if meta2.SendDrops != 0 {
 				t.Errorf("SendDrops = %d, want 0", meta2.SendDrops)
 			}
+			assertBooksBalance(t, meta2, s2.Registry(), uint64(len(sink2.all())))
 			got := uniqueSuccessSet(sink2.all())
 			if len(got) != len(cleanSet) {
 				t.Fatalf("batch %d found %d services, clean run found %d",

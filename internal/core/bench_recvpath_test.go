@@ -108,7 +108,7 @@ func (r *replayTransport) RecvBatch(dst [][]byte) int {
 // received frames — the benchmark's backpressure, so feeding never runs
 // unboundedly ahead of processing.
 func waitRecvCount(s *Scanner, total uint64) {
-	for s.counters.Snapshot().Recv < total {
+	for s.counts.recv.Load() < total {
 		runtime.Gosched()
 	}
 }

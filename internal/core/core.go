@@ -50,7 +50,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.4.0"
+const Version = "1.5.0"
 
 // DefaultProbeModule is the module a Config with no ProbeModule runs.
 const DefaultProbeModule = "tcp_synscan"
@@ -230,10 +230,8 @@ type Config struct {
 	Health *health.Config
 
 	// DedupWindow sizes the sliding window (0 = ZMap default 10^6;
-	// negative disables dedup). Deduper overrides it when non-nil (e.g.
-	// the legacy full bitmap).
+	// negative disables dedup).
 	DedupWindow int
-	Deduper     dedup.Deduper
 
 	// Probe construction.
 	SourceIP        uint32
@@ -265,11 +263,12 @@ type Config struct {
 	// Tests shorten it to observe multiple ticks quickly.
 	StatusInterval time.Duration
 
-	// Metrics receives every engine metric: counters mirroring the
-	// status stream, plus send/backoff/validate latency histograms,
-	// rate-limiter wait time, and dedup outcomes. Nil creates a private
-	// registry (reachable via Scanner.Registry). Pass a shared registry
-	// to aggregate several scans into one /metrics page.
+	// Metrics receives every engine metric: the scan's counts (see
+	// counts.go), plus send/backoff/validate latency histograms and
+	// rate-limiter wait time. Nil creates a private registry (reachable
+	// via Scanner.Registry). Pass a registry that outlives the scan to
+	// keep one /metrics page across several: each scan rebinds every
+	// zmapgo_* series to itself, so the page describes the latest one.
 	Metrics *metrics.Registry
 
 	// TraceSampleEvery tunes the flight recorder's probe-lifecycle
@@ -415,25 +414,20 @@ type Scanner struct {
 	cycle     cyclic.Cycle
 	probeCtx  *probe.Context
 	renderer  *probe.Renderer // shared by sender threads; holds no mutable state
-	counters  monitor.Counters
-	deduper   dedup.Deduper
-	sentCount atomic.Uint64 // targets probed (for MaxTargets)
+	counts    counts          // the one book every reported number is read from
 	progress  []atomic.Uint64
 	start     time.Time
 
 	// Crash-safety state. fingerprint identifies the permutation this
 	// scan walks; threadDone marks senders whose subshard is complete
 	// (their progress needs no conservative rounding in periodic
-	// checkpoints); dedupMu serializes the deduper between the receive
-	// loop and the checkpoint writer; runs/firstStart/prevSecs carry
-	// wall-clock accounting across resumed runs.
+	// checkpoints); runs/firstStart/prevSecs carry wall-clock accounting
+	// across resumed runs.
 	fingerprint checkpoint.Fingerprint
 	threadDone  []atomic.Bool
-	dedupMu     sync.Mutex
 	runs        int
 	firstStart  time.Time
 	prevSecs    float64
-	ckptWrites  atomic.Uint64
 	phaseNow    atomic.Value // string; read by the checkpoint goroutine
 
 	// Scan health: the closed-loop controller (nil when disabled), and
@@ -467,14 +461,11 @@ type Scanner struct {
 
 	// Instrumentation (see Config.Metrics). Histograms are sharded per
 	// sender thread so hot-path records never contend.
-	registry    *metrics.Registry
-	sendLat     *metrics.Histogram // per-attempt transport.Send latency
-	backoffLat  *metrics.Histogram // retry backoff delay
-	recvLat     *metrics.Histogram // receive→validate latency
-	rlWait      *metrics.Histogram // time blocked in the rate limiter
-	dedupHits   *metrics.Counter
-	dedupMisses *metrics.Counter
-	rowsLost    *metrics.Counter // result rows the Results stream refused
+	registry   *metrics.Registry
+	sendLat    *metrics.Histogram // per-attempt transport.Send latency
+	backoffLat *metrics.Histogram // retry backoff delay
+	recvLat    *metrics.Histogram // receive→validate latency
+	rlWait     *metrics.Histogram // time blocked in the rate limiter
 
 	// Lifecycle phases (generation, send, cooldown, drain, done):
 	// appended by the Run goroutine, summarized into Metadata.Phases.
@@ -569,14 +560,12 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		return nil, fmt.Errorf("core: probe module %s: %w", cfg.ProbeModule, err)
 	}
 
-	// Dedup state. The default sliding window is partitioned into one
-	// shard per receive worker — the flow-hash fanout guarantees every
-	// response of one (IP, port) lands on the same worker, so each shard
-	// is single-goroutine and lock-free. A custom Deduper cannot be
-	// partitioned and stays shared (workers serialize on dedupMu).
-	deduper := cfg.Deduper
+	// Dedup state. The sliding window is partitioned into one shard per
+	// receive worker — the flow-hash fanout guarantees every response of
+	// one (IP, port) lands on the same worker, so each shard is
+	// single-goroutine and lock-free.
 	var dedupShards []*dedup.Window
-	if deduper == nil && cfg.DedupWindow >= 0 {
+	if cfg.DedupWindow >= 0 {
 		size := cfg.DedupWindow
 		if size == 0 {
 			size = dedup.DefaultWindowSize
@@ -604,20 +593,12 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		for t, done := range cfg.Resume.Progress {
 			progress[t].Store(done)
 		}
-		if d := cfg.Resume.Dedup; d != nil {
-			if dedupShards != nil {
-				keys, err := checkpoint.DecodeKeys(d.Keys)
-				if err != nil {
-					return nil, err
-				}
-				restoreDedupShards(dedupShards, keys)
-			} else if w, ok := deduper.(*dedup.Window); ok {
-				keys, err := checkpoint.DecodeKeys(d.Keys)
-				if err != nil {
-					return nil, err
-				}
-				w.Restore(keys)
+		if d := cfg.Resume.Dedup; d != nil && dedupShards != nil {
+			keys, err := checkpoint.DecodeKeys(d.Keys)
+			if err != nil {
+				return nil, err
 			}
+			restoreDedupShards(dedupShards, keys)
 		}
 		runs = cfg.Resume.Runs + 1
 		firstStart = cfg.Resume.FirstStart
@@ -630,7 +611,6 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		transport:   transport,
 		space:       space,
 		cycle:       cycle,
-		deduper:     deduper,
 		progress:    progress,
 		threadDone:  make([]atomic.Bool, cfg.Threads),
 		fingerprint: fp,
@@ -697,117 +677,6 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 	return s, nil
 }
 
-// initMetrics wires the scan's registry: owned histograms and counters
-// for the latency paths, plus read-only views over the monitor counters
-// and transport stats, so /metrics and the status stream agree without
-// double bookkeeping on the hot path.
-func (s *Scanner) initMetrics(validator *validate.Validator) {
-	reg := s.cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s.registry = reg
-	threads := s.cfg.Threads
-
-	s.sendLat = reg.Histogram("zmapgo_send_latency_seconds",
-		"Transport send latency per attempt.", threads)
-	s.backoffLat = reg.Histogram("zmapgo_send_backoff_seconds",
-		"Backoff delay before re-sending after a transient transport error.", threads)
-	s.recvLat = reg.Histogram("zmapgo_recv_validate_seconds",
-		"Latency from frame receipt to parse+validate completion.", s.cfg.RecvWorkers)
-	s.rlWait = reg.Histogram("zmapgo_ratelimit_wait_seconds",
-		"Time sender threads spent blocked in the rate limiter.", threads)
-	s.dedupHits = reg.Counter("zmapgo_dedup_hits_total",
-		"Validated responses identified as duplicates by the dedup window.")
-	s.dedupMisses = reg.Counter("zmapgo_dedup_misses_total",
-		"Validated responses seen for the first time.")
-	s.rowsLost = reg.Counter("zmapgo_results_rows_lost_total",
-		"Result rows dropped because the Results stream refused them.")
-	validator.Instrument(reg.Counter("zmapgo_validate_computes_total",
-		"Validation words (one AES-128 block each) computed: one per probe built, one per response classified."))
-
-	c := &s.counters
-	reg.CounterFunc("zmapgo_sent_total",
-		"Probes sent on the wire.", func() uint64 { return c.Snapshot().Sent })
-	reg.CounterFunc("zmapgo_recv_total",
-		"Frames received, pre-validation.", func() uint64 { return c.Snapshot().Recv })
-	reg.CounterFunc("zmapgo_valid_total",
-		"Responses passing stateless validation.", func() uint64 { return c.Snapshot().Valid })
-	reg.CounterFunc("zmapgo_success_total",
-		"Successful classifications.", func() uint64 { return c.Snapshot().Success })
-	reg.CounterFunc("zmapgo_unique_success_total",
-		"First-sighting successes after dedup.", func() uint64 { return c.Snapshot().UniqueSucc })
-	reg.CounterFunc("zmapgo_duplicate_total",
-		"Deduplicated repeat responses.", func() uint64 { return c.Snapshot().Duplicates })
-	reg.CounterFunc("zmapgo_send_errors_total",
-		"Failed transport send attempts.", func() uint64 { return c.Snapshot().SendErrors })
-	reg.CounterFunc("zmapgo_send_retries_total",
-		"Send re-attempts after transient transport errors.", func() uint64 { return c.Snapshot().Retries })
-	reg.CounterFunc("zmapgo_send_drops_total",
-		"Probes abandoned after exhausting the retry budget.", func() uint64 { return c.Snapshot().SendDrops })
-	reg.CounterFunc("zmapgo_sender_restarts_total",
-		"Supervised sender-thread restarts.", func() uint64 { return c.Snapshot().SenderRestarts })
-	reg.GaugeFunc("zmapgo_degraded_seconds",
-		"Wall time senders spent below their configured rate share.",
-		func() float64 { return c.Snapshot().Degraded.Seconds() })
-	reg.CounterFunc("zmapgo_recv_truncated_total",
-		"Frames rejected by the parser as truncated.",
-		func() uint64 { return c.Snapshot().RecvTruncated })
-	reg.CounterFunc("zmapgo_recv_unsupported_total",
-		"Frames rejected by the parser as unsupported.",
-		func() uint64 { return c.Snapshot().RecvUnsupported })
-	reg.CounterFunc("zmapgo_recv_checksum_fail_total",
-		"Frames that parsed but failed IP/transport checksum verification.",
-		func() uint64 { return c.Snapshot().RecvChecksum })
-	reg.CounterFunc("zmapgo_recv_invalid_total",
-		"Well-formed frames rejected by stateless validation/classification.",
-		func() uint64 { return c.Snapshot().RecvInvalid })
-	reg.CounterFunc("zmapgo_checkpoints_written_total",
-		"Checkpoint snapshots successfully persisted.",
-		func() uint64 { return s.ckptWrites.Load() })
-
-	if h := s.health; h != nil {
-		reg.GaugeFunc("zmapgo_health_rate_pps",
-			"Current global target rate set by the scan-health controller.",
-			func() float64 { return h.Rate() })
-		reg.GaugeFunc("zmapgo_health_quarantined_prefixes",
-			"Number of /16 prefixes quarantined as interfered.",
-			func() float64 { return float64(h.QuarantineCount()) })
-		reg.CounterFunc("zmapgo_health_rate_decreases_total",
-			"Multiplicative rate decreases taken on congestion signals.",
-			func() uint64 { return h.Decreases() })
-		reg.CounterFunc("zmapgo_health_rate_increases_total",
-			"Additive rate recovery steps taken on healthy windows.",
-			func() uint64 { return h.Increases() })
-		reg.CounterFunc("zmapgo_health_unreach_total",
-			"Validated ICMP destination-unreachable messages attributed to our probes.",
-			func() uint64 { return h.Unreach() })
-		reg.CounterFunc("zmapgo_quarantine_skipped_total",
-			"Probes skipped because their target prefix was quarantined.",
-			func() uint64 { return c.Snapshot().QuarantineSkips })
-		reg.CounterFunc("zmapgo_parole_probes_total",
-			"Probes sent into quarantined prefixes on the parole budget.",
-			func() uint64 { return c.Snapshot().ParoleProbes })
-		reg.CounterFunc("zmapgo_parole_grants_total",
-			"Parole re-probe windows opened for quarantined prefixes.",
-			func() uint64 { return h.ParoleGrants() })
-		reg.CounterFunc("zmapgo_parole_releases_total",
-			"Quarantined prefixes released after answering parole probes.",
-			func() uint64 { return h.ParoleReleases() })
-	}
-
-	t := s.transport
-	reg.GaugeFunc("zmapgo_recv_ring_drops",
-		"Frames dropped at the transport receive ring (kernel-drop analogue).",
-		func() float64 { _, _, d := t.Stats(); return float64(d) })
-	reg.GaugeFunc("zmapgo_link_sent_total",
-		"Frames the transport accepted onto the wire.",
-		func() float64 { n, _, _ := t.Stats(); return float64(n) })
-	reg.GaugeFunc("zmapgo_link_delivered_total",
-		"Frames the transport delivered to the receiver.",
-		func() float64 { _, n, _ := t.Stats(); return float64(n) })
-}
-
 // Registry exposes the scan's metrics registry, for serving /metrics
 // (see metrics.NewServer) or programmatic inspection.
 func (s *Scanner) Registry() *metrics.Registry { return s.registry }
@@ -840,9 +709,6 @@ func (s *Scanner) Space() *cyclic.Space { return s.space }
 
 // Cycle exposes the permutation (generator, offset) used by this scan.
 func (s *Scanner) Cycle() cyclic.Cycle { return s.cycle }
-
-// Counters exposes live scan counters for external monitoring.
-func (s *Scanner) Counters() *monitor.Counters { return &s.counters }
 
 // Progress returns the per-thread count of permutation elements consumed
 // so far: what checkpoints persist and Config.Resume restores.
@@ -918,11 +784,12 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 
 	var status *monitor.StatusWriter
 	if cfg.StatusWriter != nil {
-		status = monitor.NewStatusWriterWith(cfg.StatusWriter, &s.counters, monitor.StatusOptions{
-			Interval: cfg.StatusInterval,
-			Format:   cfg.StatusFormat,
-			Header:   cfg.StatusCSVHeader,
-			Extra:    s.statusExtra(),
+		status = monitor.NewStatusWriter(cfg.StatusWriter, monitor.StatusOptions{
+			Interval:        cfg.StatusInterval,
+			Format:          cfg.StatusFormat,
+			Header:          cfg.StatusCSVHeader,
+			ProbesPerTarget: cfg.ProbesPerTarget,
+			Fill:            s.statusFill(),
 		})
 	}
 
@@ -1033,10 +900,10 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 		"cooldown", cfg.Cooldown, "cooldown_max", cfg.CooldownMax)
 	cooldownAt.Store(time.Now().UnixNano())
 	s.trace.Journal(trace.JEntry{Kind: trace.JCooldownBegin,
-		Detail: cfg.Cooldown.String(), WindowRecv: s.counters.Snapshot().Recv})
+		Detail: cfg.Cooldown.String(), WindowRecv: s.counts.recv.Load()})
 	s.cooldownActual = s.runCooldown(ctx)
 	s.trace.Journal(trace.JEntry{Kind: trace.JCooldownEnd,
-		Detail: s.cooldownActual.String(), WindowRecv: s.counters.Snapshot().Recv})
+		Detail: s.cooldownActual.String(), WindowRecv: s.counts.recv.Load()})
 	s.markPhase("drain")
 	close(stopRecv)
 	<-recvDone
@@ -1069,8 +936,8 @@ func (s *Scanner) Run(ctx context.Context) (*output.Metadata, error) {
 	if err := cfg.Results.Close(); err != nil {
 		return meta, fmt.Errorf("core: closing results: %w", err)
 	}
-	if n := s.rowsLost.Value(); n > 0 {
-		log.Error("result rows lost to write failures", "rows", n)
+	if meta.RowsLost > 0 {
+		log.Error("result rows lost to write failures", "rows", meta.RowsLost)
 	}
 	log.Info("scan complete",
 		"sent", meta.PacketsSent, "received", meta.PacketsRecv,
@@ -1099,7 +966,7 @@ func (s *Scanner) runCooldown(ctx context.Context) time.Duration {
 	} else if poll > 500*time.Millisecond {
 		poll = 500 * time.Millisecond
 	}
-	lastRecv := s.counters.Snapshot().Recv
+	lastRecv := s.counts.recv.Load()
 	lastActivity := start
 	timer := time.NewTimer(poll)
 	defer timer.Stop()
@@ -1110,7 +977,7 @@ func (s *Scanner) runCooldown(ctx context.Context) time.Duration {
 		case <-timer.C:
 		}
 		now := time.Now()
-		if r := s.counters.Snapshot().Recv; r != lastRecv {
+		if r := s.counts.recv.Load(); r != lastRecv {
 			lastRecv, lastActivity = r, now
 		}
 		if now.Sub(lastActivity) >= cfg.Cooldown || now.Sub(start) >= cfg.CooldownMax {
@@ -1139,7 +1006,7 @@ func (s *Scanner) writeCheckpoint(final bool) {
 	if err := checkpoint.Save(s.cfg.CheckpointPath, snap); err != nil {
 		s.cfg.Logger.Error("checkpoint write failed", "path", s.cfg.CheckpointPath, "err", err)
 	} else {
-		s.ckptWrites.Add(1)
+		s.counts.checkpoints.Add(1)
 		name := "periodic"
 		if final {
 			name = "final"
@@ -1187,73 +1054,13 @@ func (s *Scanner) snapshot(final bool) *checkpoint.Snapshot {
 		Runs:           s.runs,
 		FirstStart:     s.firstStart,
 		CumulativeSecs: s.prevSecs + time.Since(s.start).Seconds(),
-		PacketsSent:    s.counters.Snapshot().Sent,
-	}
-	if ds := s.recvPipe.dedupSnapshot(); ds != nil {
-		snap.Dedup = ds
-	} else if w, ok := s.deduper.(*dedup.Window); ok {
-		// Custom Window passed via Config.Deduper: shared across workers
-		// under dedupMu, serialized here the same way.
-		s.dedupMu.Lock()
-		snap.Dedup = &checkpoint.DedupState{Size: w.Size(), Keys: checkpoint.EncodeKeys(w.Keys())}
-		s.dedupMu.Unlock()
+		PacketsSent:    s.counts.sent.Load(),
+		Dedup:          s.recvPipe.dedupSnapshot(),
 	}
 	if s.health != nil {
 		snap.Health = s.health.Snapshot()
 	}
 	return snap
-}
-
-// statusExtra builds the per-tick enrichment callback for the status
-// stream: the receive-ring drop gauge, the probes-per-target-aware hit
-// rate, per-thread send rates (from the progress counters), and
-// send-latency quantiles. It runs on the status goroutine; the closure
-// state (previous progress values) is confined to it.
-func (s *Scanner) statusExtra() func(st *monitor.Status, dt time.Duration) {
-	lastProgress := make([]uint64, len(s.progress))
-	return func(st *monitor.Status, dt time.Duration) {
-		_, _, dropped := s.transport.Stats()
-		s.counters.SetDrops(dropped)
-		st.Drops = dropped
-		if st.Sent > 0 {
-			st.HitRate = float64(st.Unique) * float64(s.cfg.ProbesPerTarget) / float64(st.Sent)
-		}
-		// The windowed rate arrives as unique/sent over the last minute;
-		// rescale like the cumulative rate so k-probes-per-target scans
-		// report per-target hit rates on both columns.
-		st.HitRate1m *= float64(s.cfg.ProbesPerTarget)
-		if s.health != nil {
-			st.ControllerRatePPS = s.health.Rate()
-			st.QuarantinedPrefixes = s.health.QuarantineCount()
-		}
-		secs := dt.Seconds()
-		pps := make([]float64, len(s.progress))
-		for i := range s.progress {
-			cur := s.progress[i].Load()
-			if secs > 0 {
-				pps[i] = float64(cur-lastProgress[i]) * float64(s.cfg.ProbesPerTarget) / secs
-			}
-			lastProgress[i] = cur
-		}
-		st.ThreadPPS = pps
-		snap := s.sendLat.Snapshot()
-		st.SendLatencyP50 = snap.Quantile(0.50).Seconds()
-		st.SendLatencyP90 = snap.Quantile(0.90).Seconds()
-		st.SendLatencyP99 = snap.Quantile(0.99).Seconds()
-		// Receive-side quantiles merge every worker's histogram shard,
-		// so the stream reports one distribution however many workers
-		// are configured.
-		rsnap := s.recvLat.Snapshot()
-		st.RecvLatencyP50 = rsnap.Quantile(0.50).Seconds()
-		st.RecvLatencyP90 = rsnap.Quantile(0.90).Seconds()
-		st.RecvLatencyP99 = rsnap.Quantile(0.99).Seconds()
-		// One journal heartbeat per status tick puts the scan's coarse
-		// trajectory on the same timeline as the controller decisions.
-		s.trace.Journal(trace.JEntry{Kind: trace.JStatus,
-			RatePPS:    st.ControllerRatePPS,
-			WindowSent: st.Sent, WindowRecv: st.Recv,
-			HitRate: st.HitRate})
-	}
 }
 
 // superviseSender runs one sender thread under supervision: the subshard
@@ -1280,7 +1087,7 @@ func (s *Scanner) superviseSender(ctx context.Context, thread int, base shard.As
 			return err
 		}
 		restarts++
-		s.counters.SenderRestart()
+		s.counts.senderRestarts.Add(1)
 		s.cfg.Logger.Warn("restarting sender",
 			"thread", thread, "restart", restarts, "err", err)
 	}
@@ -1366,7 +1173,7 @@ func (rs *rateState) clean(n int) {
 		rs.rate = rs.share
 		rs.applyRate()
 		rs.degraded = false
-		rs.s.counters.AddDegraded(time.Since(rs.degradedAt))
+		rs.endDegraded()
 		rs.s.cfg.Logger.Info("restored send rate",
 			"thread", rs.thread, "rate_pps", rs.share)
 	}
@@ -1399,10 +1206,17 @@ func (rs *rateState) dirty() {
 	}
 }
 
+// endDegraded books the wall time of the degraded spell now ending.
+func (rs *rateState) endDegraded() {
+	if d := time.Since(rs.degradedAt); d > 0 {
+		rs.s.counts.degradedNanos.Add(uint64(d))
+	}
+}
+
 // finish closes out degraded-time accounting when the loop exits.
 func (rs *rateState) finish() {
 	if rs.degraded {
-		rs.s.counters.AddDegraded(time.Since(rs.degradedAt))
+		rs.endDegraded()
 	}
 }
 
@@ -1504,10 +1318,10 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 				pending = append(pending, pendingElem{})
 				continue
 			}
-			if n := s.sentCount.Add(1); cfg.MaxTargets > 0 && n > cfg.MaxTargets {
+			if n := s.counts.targets.Add(1); cfg.MaxTargets > 0 && n > cfg.MaxTargets {
 				// Over budget: give the slot back and leave the element
 				// un-resolved so a resumed scan covers it.
-				s.sentCount.Add(^uint64(0))
+				s.counts.targets.Add(^uint64(0))
 				last = true
 				break
 			}
@@ -1518,14 +1332,14 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 					// Parole re-probe: this target rides the prefix's
 					// small release budget instead of being skipped, so
 					// a recovered prefix can prove it answers again.
-					s.counters.ParoleProbe()
+					s.counts.paroleProbes.Add(1)
 				} else {
 					// Interfered prefix: the probe would be wasted, so
 					// skip it. The element still consumes its
 					// MaxTargets slot and resolves with the batch — a
 					// resumed scan must not re-probe into the
 					// quarantine either.
-					s.counters.QuarantineSkip()
+					s.counts.quarantineSkips.Add(1)
 					pending = append(pending, pendingElem{counted: true})
 					continue
 				}
@@ -1570,7 +1384,7 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 		resolved += uint64(batchResolved)
 		for _, pe := range pending[batchResolved:] {
 			if pe.counted {
-				s.sentCount.Add(^uint64(0))
+				s.counts.targets.Add(^uint64(0))
 			}
 		}
 		s.progress[thread].Store(base + resolved)
@@ -1627,7 +1441,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 		}
 		sendLat.RecordN(time.Since(t0)/time.Duration(max(attempts, 1)), attempts)
 		if sent > 0 {
-			s.counters.SentN(uint64(sent))
+			s.counts.sent.Add(uint64(sent))
 			rs.clean(sent)
 			// Trace sampled frames with one amortized timestamp per
 			// SendBatch call — the per-event cost stays at RecordAt's
@@ -1654,7 +1468,7 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 			}
 			continue
 		}
-		s.counters.SendError()
+		s.counts.sendErrors.Add(1)
 		if !IsTransientSendError(serr) {
 			return idx, sendFatal, serr
 		}
@@ -1662,12 +1476,12 @@ func (s *Scanner) flushBatch(ctx context.Context, limiter *ratelimit.Limiter, fr
 		rout, rerr := s.retryFrame(ctx, frames[idx:idx+1], keys[idx], tsh, sendLat, backoffLat)
 		switch rout {
 		case sendOK:
-			s.counters.Sent()
+			s.counts.sent.Add(1)
 			tsh.RecordKeyAt(s.trace.Now(), trace.KProbeSent, keys[idx], 0)
 		case sendDropped:
 			// Retry budget exhausted: the probe is lost, counted
 			// honestly, and the scan moves on (ZMap semantics).
-			s.counters.SendDrop()
+			s.counts.sendDrops.Add(1)
 			tsh.RecordKeyAt(s.trace.Now(), trace.KProbeDropped, keys[idx], 0)
 			cfg.Logger.Debug("probe dropped after retries",
 				"thread", rs.thread, "err", rerr)
@@ -1701,7 +1515,7 @@ func (s *Scanner) retryFrame(ctx context.Context, frame [][]byte, key uint64, ts
 			return sendCanceled, ctx.Err()
 		default:
 		}
-		s.counters.Retry()
+		s.counts.retries.Add(1)
 		tsh.RecordKeyAt(s.trace.Now(), trace.KProbeRetry, key, uint64(attempt))
 		d := backoffFor(cfg.Backoff, attempt-1)
 		backoff.Record(d)
@@ -1712,7 +1526,7 @@ func (s *Scanner) retryFrame(ctx context.Context, frame [][]byte, key uint64, ts
 		if err == nil {
 			return sendOK, nil
 		}
-		s.counters.SendError()
+		s.counts.sendErrors.Add(1)
 		if !IsTransientSendError(err) {
 			return sendFatal, err
 		}
@@ -1747,112 +1561,4 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}, cooldownAt
 			s.fanout(scratch[:n], fills, t0)
 		}
 	}
-}
-
-func (s *Scanner) buildMetadata() *output.Metadata {
-	cfg := &s.cfg
-	snap := s.counters.Snapshot()
-	_, _, dropped := s.transport.Stats()
-	s.counters.SetDrops(dropped)
-	end := time.Now()
-	dur := end.Sub(s.start).Seconds()
-	hitRate := 0.0
-	if snap.Sent > 0 {
-		hitRate = float64(snap.UniqueSucc) * float64(cfg.ProbesPerTarget) / float64(snap.Sent)
-	}
-	targets := s.sentCount.Load()
-	if cfg.MaxTargets > 0 && targets > cfg.MaxTargets {
-		targets = cfg.MaxTargets
-	}
-	meta := &output.Metadata{
-		Tool:           "zmapgo",
-		Version:        Version,
-		ProbeModule:    s.module.Name(),
-		Seed:           cfg.Seed,
-		Shards:         cfg.Shards,
-		ShardIndex:     cfg.ShardIndex,
-		SenderThreads:  cfg.Threads,
-		RatePPS:        cfg.Rate,
-		Ports:          cfg.Ports.String(),
-		OptionLayout:   cfg.OptionLayout.String(),
-		RandomIPID:     cfg.RandomIPID,
-		MaxTargets:     cfg.MaxTargets,
-		CooldownSecs:   cfg.Cooldown.Seconds(),
-		Allowlisted:    cfg.Constraint.Count(),
-		Blocklisted:    excludedCount(cfg.Constraint),
-		Group:          s.space.Group().P,
-		Generator:      s.cycle.Generator,
-		StartTime:      s.start,
-		EndTime:        end,
-		Duration:       dur,
-		TargetsScanned: targets,
-		PacketsSent:    snap.Sent,
-		PacketsRecv:    snap.Recv,
-		ValidResponses: snap.Valid,
-		Successes:      snap.Success,
-		UniqueSucc:     snap.UniqueSucc,
-		Duplicates:     snap.Duplicates,
-		RecvDrops:      dropped,
-		HitRate:        hitRate,
-		SendRatePPS:    float64(snap.Sent) / dur,
-		ThreadProgress: s.Progress(),
-		SendErrors:     snap.SendErrors,
-		SendRetries:    snap.Retries,
-		SendDrops:      snap.SendDrops,
-		SenderRestarts: snap.SenderRestarts,
-		DegradedSecs:   snap.Degraded.Seconds(),
-		Phases:         append([]output.PhaseTiming(nil), s.phases...),
-
-		RecvTruncated:    snap.RecvTruncated,
-		RecvUnsupported:  snap.RecvUnsupported,
-		RecvChecksumFail: snap.RecvChecksum,
-		RecvInvalid:      snap.RecvInvalid,
-
-		Runs:           s.runs,
-		FirstStartTime: s.firstStart,
-		CumulativeSecs: s.prevSecs + dur,
-		Interrupted:    s.stopRequested.Load(),
-		CheckpointFile: cfg.CheckpointPath,
-
-		CooldownMaxSecs:    cfg.CooldownMax.Seconds(),
-		CooldownActualSecs: s.cooldownActual.Seconds(),
-	}
-	if s.health != nil {
-		hs := s.health.Snapshot()
-		meta.AdaptiveRate = s.health.Adaptive()
-		if meta.AdaptiveRate {
-			mr := cfg.MinRate
-			if mr <= 0 {
-				// Mirror the controller's default floor derivation.
-				if mr = cfg.Rate / 64; mr < 1 {
-					mr = 1
-				}
-			}
-			meta.MinRatePPS = mr
-			meta.FinalRatePPS = hs.RatePPS
-		}
-		meta.RateDecreases = hs.Decreases
-		meta.RateIncreases = hs.Increases
-		meta.UnreachObserved = hs.Unreach
-		meta.QuarantineSkipped = snap.QuarantineSkips
-		meta.ParoleProbes = snap.ParoleProbes
-		meta.ParoleGrants = s.health.ParoleGrants()
-		meta.ParoleReleases = s.health.ParoleReleases()
-		for _, q := range hs.Quarantined {
-			meta.QuarantinedPrefixes = append(meta.QuarantinedPrefixes, output.QuarantinedPrefix{
-				Prefix: q.Prefix, Sent: q.Sent, Recv: q.Recv, AtSecs: q.AtSecs,
-				ParoleAttempts: q.ParoleAttempts,
-				ParoleSent:     q.ParoleSent,
-				ParoleRecv:     q.ParoleRecv,
-				Released:       q.Released,
-				ReleasedAtSecs: q.ReleasedAtSecs,
-			})
-		}
-	}
-	return meta
-}
-
-func excludedCount(c *target.Constraint) uint64 {
-	n, _ := c.Excluded()
-	return n
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"zmapgo/internal/checkpoint"
-	"zmapgo/internal/dedup"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
@@ -322,25 +321,6 @@ func TestDedupDisabled(t *testing.T) {
 		if r.Repeat {
 			t.Fatal("repeat flagged with dedup disabled")
 		}
-	}
-}
-
-func TestLegacyBitmapDeduper(t *testing.T) {
-	in, cfg, _ := testbed(t, 108, "80")
-	cfg.ProbesPerTarget = 2
-	cfg.Deduper = dedup.NewBitmap()
-	link := netsim.NewLink(in, 1<<17, 0)
-	defer link.Close()
-	s, err := New(cfg, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Duplicates == 0 {
-		t.Error("bitmap deduper saw no duplicates under double probing")
 	}
 }
 

@@ -37,6 +37,12 @@ func (f *failingWriter) Write(output.Record) error {
 
 func (f *failingWriter) Close() error { return nil }
 
+func (f *failingWriter) RecordsWritten() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return uint64(f.writes - f.failures)
+}
+
 func TestScanSurvivesResultWriteFailures(t *testing.T) {
 	// A failing output sink must not kill the scan: the engine logs and
 	// keeps receiving (results are best-effort streams, §5).
@@ -70,8 +76,10 @@ func TestScanSurvivesResultWriteFailures(t *testing.T) {
 	fw.mu.Lock()
 	offered, refused := uint64(fw.writes), uint64(fw.failures)
 	fw.mu.Unlock()
-	if written, lost := offered-refused, s.rowsLost.Value(); written+lost != offered {
-		t.Errorf("%d rows written + %d lost != %d rows offered", written, lost, offered)
+	assertBooksBalance(t, meta, s.Registry(), offered)
+	if meta.RowsLost != refused || meta.ResultsWritten != offered-refused {
+		t.Errorf("metadata says %d rows written, %d lost; the writer took %d and refused %d",
+			meta.ResultsWritten, meta.RowsLost, offered-refused, refused)
 	}
 	// A dead sink fails every row for the rest of the scan: one log line
 	// for the first failure and one total, not one per row.
@@ -131,7 +139,7 @@ func TestRowsLostToADeadStreamAreCounted(t *testing.T) {
 		w.mu.Unlock()
 		s.drainResults()
 	}
-	written, lost := output.Written(cfg.Results), s.rowsLost.Value()
+	written, lost := output.Written(cfg.Results), s.counts.rowsLost.Load()
 	if lost == 0 {
 		t.Fatal("stream never refused a write; test is vacuous")
 	}
@@ -287,6 +295,8 @@ func TestScanAllFirstAttemptsFailMatchesCleanScan(t *testing.T) {
 	if meta2.UniqueSucc != metaClean.UniqueSucc {
 		t.Errorf("faulty run found %d services, clean run %d", meta2.UniqueSucc, metaClean.UniqueSucc)
 	}
+	assertBooksBalance(t, metaClean, s.Registry(), uint64(len(sink.all())))
+	assertBooksBalance(t, meta2, s2.Registry(), uint64(len(sink2.all())))
 	cleanSet, faultySet := uniqueSuccessSet(sink.all()), uniqueSuccessSet(sink2.all())
 	if len(cleanSet) != len(faultySet) {
 		t.Fatalf("success sets differ in size: %d vs %d", len(cleanSet), len(faultySet))
@@ -333,6 +343,7 @@ func TestScanRetryExhaustionDropsHonestly(t *testing.T) {
 	if inner, _, _ := faulty.Stats(); inner != 0 {
 		t.Errorf("inner link saw %d sends", inner)
 	}
+	assertBooksBalance(t, meta, s.Registry(), 0)
 }
 
 func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
@@ -371,6 +382,7 @@ func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
 	if len(meta1.ThreadProgress) != 4 {
 		t.Fatalf("thread progress %v", meta1.ThreadProgress)
 	}
+	assertBooksBalance(t, meta1, s1.Registry(), uint64(len(sink1.all())))
 
 	// Resume on a healthy link: the union must cover every target once.
 	in2, cfg2, sink2 := testbed(t, 212, "80")
@@ -390,6 +402,7 @@ func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
 		t.Errorf("combined probes %d (=%d+%d), want exactly 16384",
 			total, meta1.PacketsSent, meta2.PacketsSent)
 	}
+	assertBooksBalance(t, meta2, s2.Registry(), uint64(len(sink2.all())))
 	union := uniqueSuccessSet(sink1.all())
 	for ip := range uniqueSuccessSet(sink2.all()) {
 		union[ip] = true
@@ -403,7 +416,7 @@ func TestScanFatalMidScanAbortsCleanlyAndResumes(t *testing.T) {
 func TestScanStalledTransportHonorsMaxRuntime(t *testing.T) {
 	// A wedged driver that stalls every send must not hang the scan:
 	// MaxRuntime bounds the sending phase and progress stays resumable.
-	in, cfg, _ := testbed(t, 213, "80")
+	in, cfg, sink := testbed(t, 213, "80")
 	cfg.MaxRuntime = 250 * time.Millisecond
 	link := netsim.NewLink(in, 1<<16, 0)
 	faulty := netsim.NewFaultyTransport(link, netsim.FaultConfig{
@@ -426,6 +439,7 @@ func TestScanStalledTransportHonorsMaxRuntime(t *testing.T) {
 	if meta.PacketsSent == 0 || meta.PacketsSent >= 16384 {
 		t.Fatalf("PacketsSent = %d, want partial progress", meta.PacketsSent)
 	}
+	assertBooksBalance(t, meta, s.Registry(), uint64(len(sink.all())))
 
 	// The partial progress must resume to exact full coverage.
 	in2, cfg2, _ := testbed(t, 213, "80")
@@ -450,7 +464,7 @@ func TestScanDegradesRateUnderSustainedFaults(t *testing.T) {
 	// Sustained transient failure makes senders lower their rate share
 	// (and report the degraded interval); recovery restores it, and every
 	// probe that survives its retry budget still goes out.
-	in, cfg, _ := testbed(t, 214, "80")
+	in, cfg, sink := testbed(t, 214, "80")
 	cfg.Rate = 400_000 // 100k pps per thread, on the simulated clock
 	cfg.Clock = &lockedClock{now: time.Unix(0, 0)}
 	link := netsim.NewLink(in, 1<<16, 0)
@@ -476,4 +490,5 @@ func TestScanDegradesRateUnderSustainedFaults(t *testing.T) {
 	if meta.PacketsSent < 14000 {
 		t.Errorf("only %d probes survived a 2000-attempt burst", meta.PacketsSent)
 	}
+	assertBooksBalance(t, meta, s.Registry(), uint64(len(sink.all())))
 }

@@ -85,7 +85,7 @@ type recvWorker struct {
 	idx     int
 	inbox   chan recvMsg
 	free    chan *recvBatch
-	window  *dedup.Window // owned dedup shard; nil = shared or disabled
+	window  *dedup.Window // owned dedup shard; nil = dedup disabled
 	recvLat *metrics.HistShard
 	tshard  *trace.Shard
 	scratch packet.FrameScratch
@@ -125,8 +125,8 @@ type recvPipeline struct {
 }
 
 // newRecvPipeline builds the worker set. windows carries the per-worker
-// dedup shards (nil when a custom Deduper is configured or dedup is
-// disabled); its length must equal cfg.RecvWorkers.
+// dedup shards (nil when dedup is disabled); its length must equal
+// cfg.RecvWorkers.
 func newRecvPipeline(s *Scanner, windows []*dedup.Window) *recvPipeline {
 	n := s.cfg.RecvWorkers
 	p := &recvPipeline{
@@ -292,7 +292,8 @@ func (w *recvWorker) run(p *recvPipeline, cooldownAt *atomic.Int64) {
 // receive-latency histogram counts.
 func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldownAt *atomic.Int64) bool {
 	cfg := &s.cfg
-	s.counters.Recv()
+	c := &s.counts
+	c.recv.Add(1)
 	f, err := w.scratch.ParseVerified(frame)
 	if err != nil {
 		// Parser taxonomy: truncated frames, checksum failures, and
@@ -302,12 +303,12 @@ func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldow
 		case errors.Is(err, packet.ErrChecksum):
 			// Parsed but corrupt: a flipped bit anywhere in the IP
 			// header or transport segment lands here, never in results.
-			s.counters.RecvChecksum()
+			c.recvChecksum.Add(1)
 		case errors.Is(err, packet.ErrTruncated):
-			s.counters.RecvTruncated()
+			c.recvTruncated.Add(1)
 			cfg.Logger.Debug("unparseable frame", "err", err)
 		default:
-			s.counters.RecvUnsupported()
+			c.recvUnsupported.Add(1)
 			cfg.Logger.Debug("unparseable frame", "err", err)
 		}
 		return false
@@ -328,10 +329,10 @@ func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldow
 	if !ok {
 		// Well-formed but unvalidatable: spoofed or unsolicited
 		// traffic that carries no proof it answers our probe.
-		s.counters.RecvInvalid()
+		c.recvInvalid.Add(1)
 		return true
 	}
-	s.counters.Valid()
+	c.valid.Add(1)
 	// Flight recorder: the same stateless hash the send path used, so a
 	// sampled target's response events land on its send-side span.
 	traced := s.trace.Sampled(res.IP, res.Port)
@@ -339,31 +340,13 @@ func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldow
 		w.tshard.RecordAt(int64(t0.Sub(s.trace.Epoch())), trace.KRespReceived, res.IP, res.Port, 0)
 		w.tshard.Record(trace.KRespValidated, res.IP, res.Port, 0)
 	}
-	repeat := false
-	dedupOn := true
-	switch {
-	case w.window != nil:
-		// The flow hash routed every frame of this (ip, port) to this
-		// worker, so the shard needs no lock.
-		repeat = w.window.Seen(res.IP, res.Port)
-	case s.deduper != nil:
-		s.dedupMu.Lock()
-		repeat = s.deduper.Seen(res.IP, res.Port)
-		s.dedupMu.Unlock()
-	default:
-		dedupOn = false
-	}
-	if dedupOn {
-		if repeat {
-			s.dedupHits.Inc()
-		} else {
-			s.dedupMisses.Inc()
-		}
-	}
+	// The flow hash routed every frame of this (ip, port) to this
+	// worker, so the shard needs no lock.
+	repeat := w.window != nil && w.window.Seen(res.IP, res.Port)
 	if repeat {
-		s.counters.Duplicate()
+		c.duplicates.Add(1)
 	}
-	if traced && dedupOn {
+	if traced && w.window != nil {
 		var dup uint64
 		if repeat {
 			dup = 1
@@ -371,9 +354,12 @@ func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldow
 		w.tshard.Record(trace.KRespDeduped, res.IP, res.Port, dup)
 	}
 	if res.Success {
-		s.counters.Success(!repeat)
-		if s.health != nil && !repeat {
-			s.health.NoteRecv(res.IP)
+		c.success.Add(1)
+		if !repeat {
+			c.uniqueSucc.Add(1)
+			if s.health != nil {
+				s.health.NoteRecv(res.IP)
+			}
 		}
 	}
 	w.mu.Lock()
@@ -455,6 +441,7 @@ func (s *Scanner) drainResultsLocked() {
 	if err := output.Flush(s.cfg.Results); err != nil {
 		s.noteRowsLost(err, 0)
 	}
+	s.counts.written.Store(output.Written(s.cfg.Results))
 }
 
 // noteRowsLost accounts for a failed result Write or Flush. Results are
@@ -472,15 +459,14 @@ func (s *Scanner) noteRowsLost(err error, rows uint64) {
 		s.resultsFailed = true
 		s.cfg.Logger.Error("result write failed; further failures are counted, not logged", "err", err)
 	}
-	s.rowsLost.Add(rows)
+	s.counts.rowsLost.Add(rows)
 }
 
 // dedupSnapshot merges the per-worker dedup shards into one checkpoint
 // document: keys concatenated in worker order (oldest-first within each
 // shard), size the sum of shard capacities. Restore re-partitions by
 // ShardOf, so the merged form round-trips across different RecvWorkers
-// counts. Returns nil when sharded dedup is off (custom Deduper, or
-// dedup disabled) so the caller can fall back to the legacy path.
+// counts. Returns nil when dedup is disabled.
 func (p *recvPipeline) dedupSnapshot() *checkpoint.DedupState {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -42,6 +42,7 @@ func TestScanSurvivesAggressiveRecvFaults(t *testing.T) {
 	if meta.PacketsSent != 16384 {
 		t.Errorf("sent %d probes, want 16384 (faults are receive-side only)", meta.PacketsSent)
 	}
+	assertBooksBalance(t, meta, s.Registry(), uint64(len(sink.all())))
 
 	// No validator bypass: every unique success is a true service.
 	opts := packet.BuildOptions(cfg.OptionLayout, 0)

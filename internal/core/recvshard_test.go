@@ -92,6 +92,7 @@ func runFaultyScan(t *testing.T, workers int) (string, recvTaxonomy) {
 		t.Fatal(err)
 	}
 	ft.Drain()
+	assertBooksBalance(t, meta, s.Registry(), uint64(len(sink.all())))
 	return canonRecords(t, sink.all()), taxonomyOf(meta)
 }
 

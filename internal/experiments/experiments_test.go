@@ -447,3 +447,20 @@ func TestDedupAblationAgreement(t *testing.T) {
 		t.Error("no services found")
 	}
 }
+
+func TestLegacyBitmapDeduper(t *testing.T) {
+	// The 2013 bitmap, fed the responses the engine classified, must
+	// suppress exactly the repeats the window does, in its paged memory.
+	rows := DedupAblation(nil, 14, 16)
+	bitmap, window := rows[0], rows[1]
+	if bitmap.Duplicates == 0 {
+		t.Error("bitmap deduper saw no duplicates under double probing")
+	}
+	if bitmap.Duplicates != window.Duplicates {
+		t.Errorf("bitmap flagged %d repeats, window %d", bitmap.Duplicates, window.Duplicates)
+	}
+	if bitmap.MemoryBytes == 0 || bitmap.MemoryBytes >= window.MemoryBytes {
+		t.Errorf("bitmap holds %d bytes for a /18, window %d: pages not allocated on demand",
+			bitmap.MemoryBytes, window.MemoryBytes)
+	}
+}

@@ -387,6 +387,10 @@ func (c *Controller) emit(e trace.JEntry) {
 // exists to control).
 func (c *Controller) Adaptive() bool { return c.adaptive }
 
+// MinRate is the floor the multiplicative decrease enforces, after
+// defaulting.
+func (c *Controller) MinRate() float64 { return c.cfg.MinRate }
+
 // QuarantineEnabled reports whether the interference detector is active.
 func (c *Controller) QuarantineEnabled() bool { return c.cfg.QuarantineThreshold > 0 }
 

@@ -65,6 +65,7 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindCounterFunc
+	kindCounterVar
 	kindGaugeFunc
 	kindHistogram
 )
@@ -80,6 +81,7 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	cfn     func() uint64
+	cvar    *atomic.Uint64
 	gfn     func() float64
 	hist    *Histogram
 }
@@ -88,7 +90,7 @@ type entry struct {
 // All methods are safe for concurrent use. Registration is get-or-create:
 // asking for an existing name of the same kind returns the existing
 // metric (so two scans may share one registry); re-registering a func
-// metric replaces its callback (the latest scan wins); asking for an
+// or var metric rebinds the series (the latest scan wins); asking for an
 // existing name with a different kind panics, since that is always a
 // programming error.
 type Registry struct {
@@ -188,8 +190,8 @@ func (r *Registry) GaugeWith(name, help string, labelPairs ...string) *Gauge {
 }
 
 // CounterFunc registers a read-only counter whose value is fetched from
-// fn at exposition time. Use it to expose atomics that already exist
-// (e.g. monitor.Counters) without double bookkeeping on the hot path.
+// fn at exposition time: a count derived from others, or one another
+// package owns.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.CounterFuncWith(name, help, fn)
 }
@@ -199,6 +201,16 @@ func (r *Registry) CounterFuncWith(name, help string, fn func() uint64, labelPai
 	e, _ := r.lookup(name, renderLabels(labelPairs), help, kindCounterFunc)
 	r.mu.Lock()
 	e.cfn = fn
+	r.mu.Unlock()
+}
+
+// CounterVar exposes a counter the caller owns and increments directly
+// (a field of a larger struct), at no cost beyond the pointer: no
+// closure per series, one atomic load per scrape.
+func (r *Registry) CounterVar(name, help string, v *atomic.Uint64) {
+	e, _ := r.lookup(name, "", help, kindCounterVar)
+	r.mu.Lock()
+	e.cvar = v
 	r.mu.Unlock()
 }
 
@@ -222,6 +234,18 @@ func (r *Registry) Histogram(name, help string, shards int) *Histogram {
 	return e.hist
 }
 
+// NewHistogram registers a fresh histogram under name and returns it,
+// replacing whichever histogram held the name before: the series then
+// describes its new owner alone.
+func (r *Registry) NewHistogram(name, help string, shards int) *Histogram {
+	e, _ := r.lookup(name, "", help, kindHistogram)
+	h := NewHistogram(shards)
+	r.mu.Lock()
+	e.hist = h
+	r.mu.Unlock()
+	return h
+}
+
 // Names returns the registered metric names in registration order.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
@@ -233,13 +257,17 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// sortedSnapshot copies the entry list under the lock so exposition can
-// run without holding it (func metrics may themselves take locks).
-func (r *Registry) sortedSnapshot() []*entry {
+// sortedSnapshot copies the entries under the lock, so exposition runs
+// without holding it (func metrics may themselves take locks) and sees
+// each series as it was bound at that moment even while a later scan
+// rebinds it.
+func (r *Registry) sortedSnapshot() []entry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*entry, len(r.order))
-	copy(out, r.order)
+	out := make([]entry, len(r.order))
+	for i, e := range r.order {
+		out[i] = *e
+	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name

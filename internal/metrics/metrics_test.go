@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -176,6 +177,56 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "now a gauge")
+}
+
+func TestVarMetricsRebindUnderScrape(t *testing.T) {
+	// A registry that outlives a scan: each new owner rebinds the series
+	// to its own counter and histogram while a scraper keeps reading.
+	// Every page must show one owner's values, and the last owner wins.
+	r := NewRegistry()
+	const owners = 50
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := r.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 1; i <= owners; i++ {
+		var v atomic.Uint64
+		v.Store(uint64(i))
+		r.CounterVar("scan_sent_total", "Probes sent.", &v)
+		h := r.NewHistogram("scan_latency_seconds", "Latency.", 1)
+		for j := 0; j < i; j++ {
+			h.Record(time.Microsecond)
+		}
+	}
+	close(done)
+	wg.Wait()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("scan_sent_total %d\n", owners),
+		fmt.Sprintf("scan_latency_seconds_count %d\n", owners),
+		"# TYPE scan_sent_total counter\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("page lacks %q after the last rebind:\n%s", want, buf.String())
+		}
+	}
 }
 
 func TestPrometheusExpositionGolden(t *testing.T) {

@@ -24,7 +24,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			var typ string
 			switch e.kind {
-			case kindCounter, kindCounterFunc:
+			case kindCounter, kindCounterFunc, kindCounterVar:
 				typ = "counter"
 			case kindGauge, kindGaugeFunc:
 				typ = "gauge"
@@ -42,6 +42,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", series, e.counter.Value())
 		case kindCounterFunc:
 			_, err = fmt.Fprintf(w, "%s %d\n", series, e.cfn())
+		case kindCounterVar:
+			_, err = fmt.Fprintf(w, "%s %d\n", series, e.cvar.Load())
 		case kindGauge:
 			_, err = fmt.Fprintf(w, "%s %s\n", series, formatFloat(e.gauge.Value()))
 		case kindGaugeFunc:

@@ -1,10 +1,11 @@
 // Package monitor implements the real-time status stream — the third of
 // the four output streams §5 prescribes (data, logs, status updates,
-// metadata). Counters are lock-free atomics updated by send and receive
-// goroutines; a snapshot loop emits one machine-parsable line per second
-// in CSV (ZMap's --status-updates-file format, optionally with a header)
-// or JSON (one object per line, with room for per-thread rates and
-// latency quantiles contributed by the engine).
+// metadata). The writer owns no counts: once per tick the engine's Fill
+// callback loads them from the scan's book, the writer derives the rates
+// from the previous tick, and one machine-parsable line goes out in CSV
+// (ZMap's --status-updates-file format, optionally with a header) or
+// JSON (one object per line, with room for per-thread rates and latency
+// quantiles).
 package monitor
 
 import (
@@ -13,185 +14,12 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Counters aggregates scan progress. All methods are safe for concurrent
-// use.
-type Counters struct {
-	sent       atomic.Uint64
-	recv       atomic.Uint64
-	valid      atomic.Uint64
-	success    atomic.Uint64
-	uniqueSucc atomic.Uint64
-	duplicates atomic.Uint64
-	drops      atomic.Uint64
-
-	// Send-path fault counters (§4.3 send-loop hardening): transport
-	// errors, retry attempts, probes dropped after exhausting retries,
-	// supervised sender restarts, and time spent with a degraded rate.
-	sendErrors     atomic.Uint64
-	retries        atomic.Uint64
-	sendDrops      atomic.Uint64
-	senderRestarts atomic.Uint64
-	degradedNanos  atomic.Int64
-
-	// Receive-path fault counters: frames rejected before they could
-	// produce a result, bucketed by failure class so a hostile or lossy
-	// receive path is visible in the status stream (truncated and
-	// unsupported from the parser's error taxonomy, checksum failures
-	// from corruption, invalid from validation/classification refusals —
-	// the spoofed-response bucket).
-	recvTruncated   atomic.Uint64
-	recvUnsupported atomic.Uint64
-	recvChecksum    atomic.Uint64
-	recvInvalid     atomic.Uint64
-
-	// quarantineSkips counts targets skipped because their prefix was
-	// quarantined by the scan-health subsystem (probe budget saved, not
-	// probes failed).
-	quarantineSkips atomic.Uint64
-
-	// paroleProbes counts probes sent into quarantined prefixes on the
-	// parole re-probe budget — the small spend that lets a recovered
-	// prefix earn its release.
-	paroleProbes atomic.Uint64
-}
-
-// Sent increments packets sent.
-func (c *Counters) Sent() { c.sent.Add(1) }
-
-// SentN adds n packets sent in one update (batched send paths).
-func (c *Counters) SentN(n uint64) { c.sent.Add(n) }
-
-// SendError increments failed transport send attempts (transient or
-// fatal).
-func (c *Counters) SendError() { c.sendErrors.Add(1) }
-
-// Retry increments send re-attempts after a transient transport error.
-func (c *Counters) Retry() { c.retries.Add(1) }
-
-// SendDrop increments probes abandoned after exhausting their retry
-// budget. Dropped probes are never counted as sent.
-func (c *Counters) SendDrop() { c.sendDrops.Add(1) }
-
-// SenderRestart increments supervised restarts of sender goroutines
-// after a panic or fatal transport error.
-func (c *Counters) SenderRestart() { c.senderRestarts.Add(1) }
-
-// AddDegraded accumulates wall time a sender spent below its configured
-// rate share because the transport was failing.
-func (c *Counters) AddDegraded(d time.Duration) {
-	if d > 0 {
-		c.degradedNanos.Add(int64(d))
-	}
-}
-
-// Recv increments packets received (pre-validation).
-func (c *Counters) Recv() { c.recv.Add(1) }
-
-// RecvTruncated increments frames the parser rejected as truncated.
-func (c *Counters) RecvTruncated() { c.recvTruncated.Add(1) }
-
-// RecvUnsupported increments frames the parser rejected as an
-// unsupported protocol or shape.
-func (c *Counters) RecvUnsupported() { c.recvUnsupported.Add(1) }
-
-// RecvChecksum increments frames that parsed but failed IP or transport
-// checksum verification (bit corruption on the path).
-func (c *Counters) RecvChecksum() { c.recvChecksum.Add(1) }
-
-// RecvInvalid increments well-formed frames the validator or classifier
-// refused — unsolicited or spoofed traffic that carried no proof it
-// answers one of this scan's probes.
-func (c *Counters) RecvInvalid() { c.recvInvalid.Add(1) }
-
-// QuarantineSkip increments targets skipped due to prefix quarantine.
-func (c *Counters) QuarantineSkip() { c.quarantineSkips.Add(1) }
-
-// ParoleProbe increments probes sent into a quarantined prefix on its
-// parole re-probe budget.
-func (c *Counters) ParoleProbe() { c.paroleProbes.Add(1) }
-
-// Valid increments validated responses.
-func (c *Counters) Valid() { c.valid.Add(1) }
-
-// Success increments successful classifications; unique marks first
-// sightings after dedup.
-func (c *Counters) Success(unique bool) {
-	c.success.Add(1)
-	if unique {
-		c.uniqueSucc.Add(1)
-	}
-}
-
-// Duplicate increments deduplicated repeats.
-func (c *Counters) Duplicate() { c.duplicates.Add(1) }
-
-// SetDrops records the receive-ring drop gauge, as last reported by the
-// link. It is a set, not an increment: the link tracks the cumulative
-// total itself, so each report replaces the previous one. (A single
-// aggregated transport reports here; per-link totals would need summing
-// by the caller before the set.)
-func (c *Counters) SetDrops(n uint64) { c.drops.Store(n) }
-
-// Snapshot is a point-in-time view of the counters.
-type Snapshot struct {
-	Time       time.Time
-	Sent       uint64
-	Recv       uint64
-	Valid      uint64
-	Success    uint64
-	UniqueSucc uint64
-	Duplicates uint64
-	Drops      uint64
-
-	SendErrors     uint64
-	Retries        uint64
-	SendDrops      uint64
-	SenderRestarts uint64
-	Degraded       time.Duration
-
-	RecvTruncated   uint64
-	RecvUnsupported uint64
-	RecvChecksum    uint64
-	RecvInvalid     uint64
-
-	QuarantineSkips uint64
-	ParoleProbes    uint64
-}
-
-// Snapshot captures current values.
-func (c *Counters) Snapshot() Snapshot {
-	return Snapshot{
-		Time:           time.Now(),
-		Sent:           c.sent.Load(),
-		Recv:           c.recv.Load(),
-		Valid:          c.valid.Load(),
-		Success:        c.success.Load(),
-		UniqueSucc:     c.uniqueSucc.Load(),
-		Duplicates:     c.duplicates.Load(),
-		Drops:          c.drops.Load(),
-		SendErrors:     c.sendErrors.Load(),
-		Retries:        c.retries.Load(),
-		SendDrops:      c.sendDrops.Load(),
-		SenderRestarts: c.senderRestarts.Load(),
-		Degraded:       time.Duration(c.degradedNanos.Load()),
-
-		RecvTruncated:   c.recvTruncated.Load(),
-		RecvUnsupported: c.recvUnsupported.Load(),
-		RecvChecksum:    c.recvChecksum.Load(),
-		RecvInvalid:     c.recvInvalid.Load(),
-
-		QuarantineSkips: c.quarantineSkips.Load(),
-		ParoleProbes:    c.paroleProbes.Load(),
-	}
-}
-
-// Status is one status-stream tick. CSV emits the first 14 fields in
-// csvColumns order; JSON emits everything, including the fields only an
-// engine callback can fill (hit rate, per-thread rates, quantiles).
+// Status is one status-stream tick. The writer fills TimeUnix, SentPPS,
+// RecvPPS, HitRate and HitRate1m; everything else comes from Fill. CSV
+// emits the csvColumns fields; JSON emits everything.
 type Status struct {
 	TimeUnix       int64   `json:"time_unix"`
 	Sent           uint64  `json:"sent"`
@@ -214,6 +42,9 @@ type Status struct {
 	RecvChecksum    uint64 `json:"recv_checksum_fail"`
 	RecvInvalid     uint64 `json:"recv_invalid"`
 
+	// RowsLost counts result rows the Results stream refused (JSON only).
+	RowsLost uint64 `json:"rows_lost"`
+
 	// Scan-health fields (appended CSV columns; always in JSON).
 	// HitRate1m is the windowed hit rate — unique successes over probes
 	// sent within the trailing 60s (or since start, if younger). Unlike
@@ -228,9 +59,8 @@ type Status struct {
 	QuarantineSkips     uint64  `json:"quarantine_skips"`
 	ParoleProbes        uint64  `json:"parole_probes"`
 
-	// Enriched fields (JSON only). HitRate defaults to unique/sent; the
-	// engine's Extra callback overrides it with the probes-per-target
-	// aware value and fills the rest.
+	// Enriched fields (JSON only). HitRate is the cumulative per-target
+	// hit rate: unique × probes per target / sent.
 	HitRate        float64   `json:"hit_rate"`
 	ThreadPPS      []float64 `json:"thread_pps,omitempty"`
 	SendLatencyP50 float64   `json:"send_latency_p50_secs"`
@@ -260,7 +90,7 @@ var csvColumns = []string{
 // CSVHeader returns the status CSV header line (without newline).
 func CSVHeader() string { return strings.Join(csvColumns, ",") }
 
-// StatusOptions configures a StatusWriter beyond the defaults.
+// StatusOptions configures a StatusWriter.
 type StatusOptions struct {
 	// Interval between ticks (default 1s).
 	Interval time.Duration
@@ -269,72 +99,78 @@ type StatusOptions struct {
 	// Header emits the CSV header line before the first row (ZMap's
 	// --status-updates-file carries one). Ignored for JSON.
 	Header bool
-	// Extra, if set, is called once per tick with the assembled Status
-	// and the measured interval, before formatting. The engine uses it
-	// to fill hit rate, per-thread rates, latency quantiles, and the
-	// receive-ring drop gauge. It runs on the status goroutine.
-	Extra func(st *Status, dt time.Duration)
+	// ProbesPerTarget scales both hit rates to per-target figures, so a
+	// k-probes-per-target scan reports the same rate as a one-probe scan
+	// of the same hosts (0 means 1).
+	ProbesPerTarget int
+	// Fill is called once per tick, on the status goroutine, with a
+	// Status carrying only the time and the measured interval since the
+	// previous tick. It loads every count the line reports; the writer
+	// then derives the rates from Sent, Recv and Unique.
+	Fill func(st *Status, dt time.Duration)
 }
 
 // hitRateWindow is the trailing span over which hit_rate_1m is
-// computed. maxWindowEntries bounds the snapshot ring at sub-second
-// tick intervals (the window then shortens rather than growing without
+// computed. maxWindowEntries bounds the tick ring at sub-second
+// intervals (the window then shortens rather than growing without
 // bound).
 const (
 	hitRateWindow    = time.Minute
 	maxWindowEntries = 1024
 )
 
+// tick is what the writer keeps of one status line: the values its
+// rate and hit_rate_1m math need from a previous tick.
+type tick struct {
+	at                 time.Time
+	sent, recv, unique uint64
+}
+
 // StatusWriter periodically emits one status line per tick.
 type StatusWriter struct {
 	w        io.Writer
-	counters *Counters
 	opts     StatusOptions
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-	last     Snapshot
-	window   []Snapshot // trailing snapshots for hit_rate_1m, oldest first
+	last     tick
+	window   []tick // trailing ticks for hit_rate_1m, oldest first
 	headed   bool
 }
 
-// NewStatusWriter starts a CSV status loop writing to w every interval —
-// the legacy headerless format. Call Stop to end it. A nil w disables
-// output but still permits Stop.
-func NewStatusWriter(w io.Writer, c *Counters, interval time.Duration) *StatusWriter {
-	return NewStatusWriterWith(w, c, StatusOptions{Interval: interval})
-}
-
-// NewStatusWriterWith starts a status loop with full options.
-func NewStatusWriterWith(w io.Writer, c *Counters, opts StatusOptions) *StatusWriter {
+// NewStatusWriter starts a status loop writing to w. Call Stop to end
+// it. A nil w disables output but still permits Stop.
+func NewStatusWriter(w io.Writer, opts StatusOptions) *StatusWriter {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
 	if opts.Format == "" {
 		opts.Format = "csv"
 	}
-	first := c.Snapshot()
+	if opts.ProbesPerTarget < 1 {
+		opts.ProbesPerTarget = 1
+	}
+	first := tick{at: time.Now()}
 	s := &StatusWriter{
-		w:        w,
-		counters: c,
-		opts:     opts,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		last:     first,
-		window:   []Snapshot{first},
+		w:      w,
+		opts:   opts,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		last:   first,
+		window: []tick{first},
 	}
 	go s.loop()
 	return s
 }
 
 // windowedHitRate computes unique/sent over the trailing window ending
-// at now, using the oldest retained snapshot inside the window as the
+// at now, using the oldest retained tick inside the window as the
 // anchor. It also prunes the ring. Zero when nothing was sent in the
 // window (e.g. during cooldown).
-func (s *StatusWriter) windowedHitRate(now Snapshot) float64 {
-	cutoff := now.Time.Add(-hitRateWindow)
+func (s *StatusWriter) windowedHitRate(now tick) float64 {
+	cutoff := now.at.Add(-hitRateWindow)
 	i := 0
-	for i < len(s.window)-1 && s.window[i].Time.Before(cutoff) {
+	for i < len(s.window)-1 && s.window[i].at.Before(cutoff) {
 		i++
 	}
 	s.window = append(s.window[i:], now)
@@ -342,10 +178,10 @@ func (s *StatusWriter) windowedHitRate(now Snapshot) float64 {
 		s.window = s.window[len(s.window)-maxWindowEntries:]
 	}
 	anchor := s.window[0]
-	if now.Sent <= anchor.Sent {
+	if now.sent <= anchor.sent {
 		return 0
 	}
-	return float64(now.UniqueSucc-anchor.UniqueSucc) / float64(now.Sent-anchor.Sent)
+	return float64(now.unique-anchor.unique) / float64(now.sent-anchor.sent)
 }
 
 func (s *StatusWriter) loop() {
@@ -364,43 +200,24 @@ func (s *StatusWriter) loop() {
 }
 
 func (s *StatusWriter) emit() {
-	now := s.counters.Snapshot()
-	dt := now.Time.Sub(s.last.Time)
+	at := time.Now()
+	dt := at.Sub(s.last.at)
 	if dt <= 0 {
 		dt = s.opts.Interval
 	}
+	st := Status{TimeUnix: at.Unix()}
+	if s.opts.Fill != nil {
+		s.opts.Fill(&st, dt)
+	}
+	now := tick{at: at, sent: st.Sent, recv: st.Recv, unique: st.Unique}
 	secs := dt.Seconds()
-	st := Status{
-		TimeUnix:       now.Time.Unix(),
-		Sent:           now.Sent,
-		SentPPS:        float64(now.Sent-s.last.Sent) / secs,
-		Recv:           now.Recv,
-		RecvPPS:        float64(now.Recv-s.last.Recv) / secs,
-		Success:        now.Success,
-		Unique:         now.UniqueSucc,
-		Duplicates:     now.Duplicates,
-		Drops:          now.Drops,
-		SendErrors:     now.SendErrors,
-		Retries:        now.Retries,
-		SendDrops:      now.SendDrops,
-		SenderRestarts: now.SenderRestarts,
-		DegradedSecs:   now.Degraded.Seconds(),
-
-		RecvTruncated:   now.RecvTruncated,
-		RecvUnsupported: now.RecvUnsupported,
-		RecvChecksum:    now.RecvChecksum,
-		RecvInvalid:     now.RecvInvalid,
-
-		QuarantineSkips: now.QuarantineSkips,
-		ParoleProbes:    now.ParoleProbes,
+	ppt := float64(s.opts.ProbesPerTarget)
+	st.SentPPS = float64(now.sent-s.last.sent) / secs
+	st.RecvPPS = float64(now.recv-s.last.recv) / secs
+	if now.sent > 0 {
+		st.HitRate = float64(now.unique) * ppt / float64(now.sent)
 	}
-	if now.Sent > 0 {
-		st.HitRate = float64(now.UniqueSucc) / float64(now.Sent)
-	}
-	st.HitRate1m = s.windowedHitRate(now)
-	if s.opts.Extra != nil {
-		s.opts.Extra(&st, dt)
-	}
+	st.HitRate1m = s.windowedHitRate(now) * ppt
 	s.last = now
 	if s.w == nil {
 		return

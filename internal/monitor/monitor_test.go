@@ -5,58 +5,26 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestCountersConcurrent(t *testing.T) {
-	var c Counters
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Sent()
-				c.Recv()
-				c.Valid()
-				c.Success(i%2 == 0)
-				c.Duplicate()
-			}
-		}()
-	}
-	wg.Wait()
-	s := c.Snapshot()
-	if s.Sent != 8000 || s.Recv != 8000 || s.Valid != 8000 {
-		t.Errorf("snapshot %+v", s)
-	}
-	if s.Success != 8000 || s.UniqueSucc != 4000 || s.Duplicates != 8000 {
-		t.Errorf("snapshot %+v", s)
-	}
-}
+// book stands in for the engine's counts: the writer sees them only
+// through Fill.
+type book struct{ sent, recv, unique atomic.Uint64 }
 
-func TestSetDropsIsGauge(t *testing.T) {
-	var c Counters
-	c.SetDrops(5)
-	c.SetDrops(7)
-	if c.Snapshot().Drops != 7 {
-		t.Error("drops should store the latest gauge value")
-	}
-	c.SetDrops(6) // a later, smaller report replaces — it is a gauge
-	if c.Snapshot().Drops != 6 {
-		t.Error("drops gauge must be replaceable, not monotonic")
-	}
+func (b *book) fill(st *Status, _ time.Duration) {
+	st.Sent, st.Recv, st.Unique = b.sent.Load(), b.recv.Load(), b.unique.Load()
 }
 
 func TestStatusWriterEmitsLines(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := &lockedWriter{mu: &mu, w: &buf}
-	var c Counters
-	s := NewStatusWriter(w, &c, 10*time.Millisecond)
-	for i := 0; i < 100; i++ {
-		c.Sent()
-	}
+	var b book
+	s := NewStatusWriter(w, StatusOptions{Interval: 10 * time.Millisecond, Fill: b.fill})
+	b.sent.Add(100)
 	time.Sleep(35 * time.Millisecond)
 	s.Stop()
 	mu.Lock()
@@ -75,51 +43,19 @@ func TestStatusWriterEmitsLines(t *testing.T) {
 	}
 }
 
-func TestFaultCounters(t *testing.T) {
-	var c Counters
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.SendError()
-				c.Retry()
-				c.SendDrop()
-			}
-			c.SenderRestart()
-			c.AddDegraded(time.Millisecond)
-			c.AddDegraded(-time.Second) // negative durations are ignored
-		}()
-	}
-	wg.Wait()
-	s := c.Snapshot()
-	if s.SendErrors != 400 || s.Retries != 400 || s.SendDrops != 400 {
-		t.Errorf("fault counters %+v", s)
-	}
-	if s.SenderRestarts != 4 {
-		t.Errorf("restarts = %d", s.SenderRestarts)
-	}
-	if s.Degraded != 4*time.Millisecond {
-		t.Errorf("degraded = %v", s.Degraded)
-	}
-}
-
 func TestStatusWriterNilWriter(t *testing.T) {
-	var c Counters
-	s := NewStatusWriter(nil, &c, time.Millisecond)
+	s := NewStatusWriter(nil, StatusOptions{Interval: time.Millisecond})
 	time.Sleep(5 * time.Millisecond)
 	s.Stop() // must not panic
 }
 
 func TestStatusWriterStopIdempotent(t *testing.T) {
-	var c Counters
-	s := NewStatusWriter(nil, &c, time.Millisecond)
+	s := NewStatusWriter(nil, StatusOptions{Interval: time.Millisecond})
 	s.Stop()
 	s.Stop() // second call must not panic on a closed channel
 
 	// Concurrent stops must all return.
-	s2 := NewStatusWriter(nil, &c, time.Millisecond)
+	s2 := NewStatusWriter(nil, StatusOptions{Interval: time.Millisecond})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -150,8 +86,7 @@ func TestStatusWriterHeaderLine(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := &lockedWriter{mu: &mu, w: &buf}
-	var c Counters
-	s := NewStatusWriterWith(w, &c, StatusOptions{
+	s := NewStatusWriter(w, StatusOptions{
 		Interval: 5 * time.Millisecond,
 		Header:   true,
 	})
@@ -179,16 +114,15 @@ func TestStatusWriterJSONFormat(t *testing.T) {
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := &lockedWriter{mu: &mu, w: &buf}
-	var c Counters
-	for i := 0; i < 50; i++ {
-		c.Sent()
-		c.Recv()
-		c.Success(i%2 == 0)
-	}
-	s := NewStatusWriterWith(w, &c, StatusOptions{
+	var b book
+	b.sent.Store(50)
+	b.recv.Store(50)
+	b.unique.Store(25)
+	s := NewStatusWriter(w, StatusOptions{
 		Interval: 5 * time.Millisecond,
 		Format:   "json",
-		Extra: func(st *Status, dt time.Duration) {
+		Fill: func(st *Status, dt time.Duration) {
+			b.fill(st, dt)
 			st.ThreadPPS = []float64{12.5, 14}
 			st.SendLatencyP50 = 0.001
 			st.SendLatencyP90 = 0.002
@@ -226,13 +160,12 @@ func TestStatusWriterJSONFormat(t *testing.T) {
 }
 
 func TestStatusWriterCSVOutputUnchanged(t *testing.T) {
-	// The legacy constructor must keep the exact pre-header format:
+	// Without Header the stream keeps the exact pre-header format:
 	// comma-separated fields matching csvColumns, no header line.
 	var mu sync.Mutex
 	var buf bytes.Buffer
 	w := &lockedWriter{mu: &mu, w: &buf}
-	var c Counters
-	s := NewStatusWriter(w, &c, 5*time.Millisecond)
+	s := NewStatusWriter(w, StatusOptions{Interval: 5 * time.Millisecond})
 	time.Sleep(12 * time.Millisecond)
 	s.Stop()
 	mu.Lock()
@@ -240,7 +173,7 @@ func TestStatusWriterCSVOutputUnchanged(t *testing.T) {
 	mu.Unlock()
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if strings.HasPrefix(line, "time_unix") {
-			t.Fatal("legacy constructor emitted a header")
+			t.Fatal("header emitted without Header set")
 		}
 		if got := len(strings.Split(line, ",")); got != 22 {
 			t.Fatalf("line has %d fields: %q", got, line)
@@ -261,10 +194,10 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 
 func TestWindowedHitRate(t *testing.T) {
 	base := time.Unix(1000, 0)
-	snap := func(at time.Duration, sent, unique uint64) Snapshot {
-		return Snapshot{Time: base.Add(at), Sent: sent, UniqueSucc: unique}
+	snap := func(at time.Duration, sent, unique uint64) tick {
+		return tick{at: base.Add(at), sent: sent, unique: unique}
 	}
-	s := &StatusWriter{window: []Snapshot{snap(0, 0, 0)}}
+	s := &StatusWriter{window: []tick{snap(0, 0, 0)}}
 
 	// 10s in: cumulative and windowed agree (window covers the start).
 	if got := s.windowedHitRate(snap(10*time.Second, 1000, 100)); got != 0.1 {
@@ -288,10 +221,10 @@ func TestWindowedHitRate(t *testing.T) {
 }
 
 func TestWindowedHitRateRingBounded(t *testing.T) {
-	s := &StatusWriter{window: []Snapshot{{Time: time.Unix(0, 0)}}}
+	s := &StatusWriter{window: []tick{{at: time.Unix(0, 0)}}}
 	base := time.Unix(1000, 0)
 	for i := 0; i < 5000; i++ {
-		s.windowedHitRate(Snapshot{Time: base.Add(time.Duration(i) * time.Millisecond)})
+		s.windowedHitRate(tick{at: base.Add(time.Duration(i) * time.Millisecond)})
 	}
 	if len(s.window) > maxWindowEntries {
 		t.Fatalf("window ring grew to %d entries", len(s.window))

@@ -36,6 +36,7 @@ type Metadata struct {
 	OptionLayout  string   `json:"tcp_option_layout"`
 	RandomIPID    bool     `json:"random_ip_id"`
 	MaxTargets    uint64   `json:"max_targets"`
+	Probes        int      `json:"probes_per_target"`
 	CooldownSecs  float64  `json:"cooldown_secs"`
 	Blocklisted   uint64   `json:"blocklisted_addrs"`
 	Allowlisted   uint64   `json:"allowlisted_addrs"`
@@ -79,6 +80,14 @@ type Metadata struct {
 	RecvUnsupported  uint64 `json:"recv_unsupported"`
 	RecvChecksumFail uint64 `json:"recv_checksum_fail"`
 	RecvInvalid      uint64 `json:"recv_invalid"`
+
+	// Results-stream accounting: of the valid responses offered to the
+	// Results writer, the rows its stream accepted and the rows it
+	// refused; the rest were held back by the output filter.
+	// ResultsWritten is zero for a writer that does not count its rows
+	// (see WrittenCounter).
+	ResultsWritten uint64 `json:"results_written,omitempty"`
+	RowsLost       uint64 `json:"rows_lost,omitempty"`
 
 	// Scan-health accounting: the closed-loop rate controller's final
 	// state, validated ICMP unreachables observed, and the interference

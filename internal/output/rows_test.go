@@ -309,3 +309,32 @@ func TestWriteFlushesAFullBuffer(t *testing.T) {
 		t.Errorf("RecordsWritten = %d after %d rows reached the stream", got, rows)
 	}
 }
+
+// FuzzRecordUnmarshalJSON feeds UnmarshalJSON rows it did not write —
+// zanalyze and the fleet merge read result files back. Whatever it
+// accepts must be a fixed point of the codec: marshalled again it is a
+// row UnmarshalJSON accepts, as the same record.
+func FuzzRecordUnmarshalJSON(f *testing.F) {
+	f.Add([]byte(`{"saddr":"1.2.3.4","sport":443,"classification":"synack","success":true,"repeat":false,"cooldown":false,"ttl":57,"timestamp":1.5}`))
+	f.Add([]byte(`{"saddr":"255.255.255.255","classification":"a,\"b\"\n< �","timestamp":-0}`))
+	f.Add([]byte(`{"SADDR":"10.0.0.1","sport":65536}`))
+	f.Add([]byte(`{"saddr":"10.0.0.256"}`))
+	f.Add([]byte(`{"saddr":"1.2.3.4","timestamp":1e400}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Record
+		if err := r.UnmarshalJSON(data); err != nil {
+			return
+		}
+		row, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("accepted record %+v does not marshal: %v", r, err)
+		}
+		var again Record
+		if err := json.Unmarshal(row, &again); err != nil {
+			t.Fatalf("own row refused: %v\n%s", err, row)
+		}
+		if again != r {
+			t.Fatalf("record changed across the codec:\n got %+v\nwant %+v\n row %s", again, r, row)
+		}
+	})
+}

@@ -21,11 +21,11 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zmapgo/internal/cyclic"
 	"zmapgo/internal/dedup"
-	"zmapgo/internal/monitor"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/ratelimit"
 	"zmapgo/internal/shard"
@@ -159,8 +159,10 @@ type Scanner struct {
 	space     *cyclic.Space
 	cycle     cyclic.Cycle
 	validator *validate.Validator
-	counters  monitor.Counters
 	window    *dedup.KeyedWindow[[18]byte]
+
+	// The scan's counts, read once into the Summary when Run returns.
+	sent, recv, unique, duplicates atomic.Uint64
 }
 
 var defaultV6Source = [16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2}
@@ -249,13 +251,12 @@ func (s *Scanner) Run(ctx context.Context) (Summary, error) {
 	close(stop)
 	<-done
 
-	snap := s.counters.Snapshot()
 	return Summary{
 		Targets:    s.space.Targets(),
-		Sent:       snap.Sent,
-		Received:   snap.Recv,
-		Successes:  snap.UniqueSucc,
-		Duplicates: snap.Duplicates,
+		Sent:       s.sent.Load(),
+		Received:   s.recv.Load(),
+		Successes:  s.unique.Load(),
+		Duplicates: s.duplicates.Load(),
 	}, nil
 }
 
@@ -301,7 +302,7 @@ func (s *Scanner) sendWithRetry(frame []byte) bool {
 	for attempt := 0; ; attempt++ {
 		err := s.transport.Send(frame)
 		if err == nil {
-			s.counters.Sent()
+			s.sent.Add(1)
 			return true
 		}
 		var te transientSendError
@@ -347,7 +348,7 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case frame := <-s.transport.Recv():
-			s.counters.Recv()
+			s.recv.Add(1)
 			f, err := packet.ParseIPv6(frame)
 			if err != nil || f.TCP == nil || f.IP.Dst != cfg.SourceAddr {
 				continue
@@ -373,10 +374,9 @@ func (s *Scanner) recvLoop(ctx context.Context, stop <-chan struct{}) {
 				res.Repeat = s.window.Seen(key)
 			}
 			if res.Repeat {
-				s.counters.Duplicate()
-			}
-			if res.Success {
-				s.counters.Success(!res.Repeat)
+				s.duplicates.Add(1)
+			} else if res.Success {
+				s.unique.Add(1)
 			}
 			if cfg.Emit != nil {
 				cfg.Emit(res)

@@ -30,6 +30,7 @@ func healthScan(t *testing.T, simSeed uint64, cong *CongestionOptions, opts Opti
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertBooksBalance(t, sum, s.Metrics(), nil)
 	return sum, link
 }
 

@@ -11,24 +11,129 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zmapgo/internal/core"
 )
 
-// metricValue extracts a single un-labeled sample from Prometheus text
-// exposition output.
-func metricValue(t *testing.T, exposition, name string) float64 {
+// parseMetrics returns the un-labeled samples of a Prometheus text
+// exposition by series name.
+func parseMetrics(t testing.TB, exposition string) map[string]float64 {
 	t.Helper()
+	vals := map[string]float64{}
 	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name+" ") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimPrefix(line, name+" "), 64)
+		v, err := strconv.ParseFloat(val, 64)
 		if err != nil {
 			t.Fatalf("bad sample line %q: %v", line, err)
 		}
-		return v
+		vals[name] = v
 	}
-	t.Fatalf("metric %s not found in exposition:\n%s", name, exposition)
-	return 0
+	return vals
+}
+
+// metricValue extracts a single un-labeled sample from an exposition.
+func metricValue(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	v, ok := parseMetrics(t, exposition)[name]
+	if !ok {
+		t.Fatalf("metric %s not found in exposition:\n%s", name, exposition)
+	}
+	return v
+}
+
+// metricValues returns every un-labeled sample reg exposes.
+func metricValues(t testing.TB, reg *MetricsRegistry) map[string]float64 {
+	t.Helper()
+	var expo bytes.Buffer
+	if err := WriteMetrics(&expo, reg); err != nil {
+		t.Fatal(err)
+	}
+	return parseMetrics(t, expo.String())
+}
+
+// jsonNumbers decodes one JSON object and keeps its numeric members.
+func jsonNumbers(t testing.TB, doc []byte) map[string]float64 {
+	t.Helper()
+	var raw map[string]any
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatalf("not a JSON object: %v\n%s", err, doc)
+	}
+	nums := map[string]float64{}
+	for k, v := range raw {
+		if f, ok := v.(float64); ok {
+			nums[k] = f
+		}
+	}
+	return nums
+}
+
+// assertBooksBalance mirrors internal/core's helper of the same name for
+// scans compiled from Options: the conservation laws of DESIGN.md
+// "Observability", read off the registry and the Summary once Run has
+// returned. out is the scan's Results stream when it is text under the
+// default filter (one line per unique success), nil when Options.Results
+// was nil and every valid response counts as a written row.
+func assertBooksBalance(t testing.TB, sum *Summary, reg *MetricsRegistry, out *bytes.Buffer) {
+	t.Helper()
+	doc, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSummary, onPage := jsonNumbers(t, doc), metricValues(t, reg)
+	for _, d := range core.Counts() {
+		got, ok := onPage[d.Metric]
+		if !ok {
+			if !d.HealthOnly {
+				t.Errorf("%s is in the table but not on /metrics", d.Metric)
+			}
+			continue
+		}
+		if d.Meta != "" && got != inSummary[d.Meta] {
+			t.Errorf("%s = %v on /metrics, Summary %s = %v", d.Metric, got, d.Meta, inSummary[d.Meta])
+		}
+	}
+	n := func(name string) uint64 { return uint64(onPage[name]) }
+
+	targets, skipped := n("zmapgo_targets_total"), n("zmapgo_quarantine_skipped_total")
+	sent, drops := n("zmapgo_sent_total"), n("zmapgo_send_drops_total")
+	if (targets-skipped)*uint64(sum.Probes) != sent+drops {
+		t.Errorf("(%d targets - %d skipped) x %d probes != %d sent + %d dropped",
+			targets, skipped, sum.Probes, sent, drops)
+	}
+
+	valid := n("zmapgo_valid_total")
+	rejected := n("zmapgo_recv_truncated_total") + n("zmapgo_recv_unsupported_total") +
+		n("zmapgo_recv_checksum_fail_total") + n("zmapgo_recv_invalid_total")
+	if recv := n("zmapgo_recv_total"); recv != rejected+valid {
+		t.Errorf("%d frames received != %d rejected + %d valid", recv, rejected, valid)
+	}
+
+	written, lost := n("zmapgo_results_written_total"), n("zmapgo_results_rows_lost_total")
+	unique, success := n("zmapgo_unique_success_total"), n("zmapgo_success_total")
+	if out == nil {
+		if valid != written+lost {
+			t.Errorf("%d valid responses != %d rows written + %d lost, with no filter", valid, written, lost)
+		}
+	} else {
+		// The default filter holds back everything but unique successes.
+		if rows := uint64(strings.Count(out.String(), "\n")); rows != written || unique != written+lost {
+			t.Errorf("%d unique successes, %d rows written + %d lost, %d rows in the stream", unique, written, lost, rows)
+		}
+	}
+
+	hits, misses := n("zmapgo_dedup_hits_total"), n("zmapgo_dedup_misses_total")
+	if dups := n("zmapgo_duplicate_total"); dups != hits {
+		t.Errorf("%d duplicates != %d dedup hits", dups, hits)
+	}
+	if hits+misses != valid && hits+misses != 0 { // 0 and 0 with dedup off
+		t.Errorf("%d dedup hits + %d misses != %d valid responses", hits, misses, valid)
+	}
+	if unique > success || success > valid {
+		t.Errorf("want unique %d <= success %d <= valid %d", unique, success, valid)
+	}
 }
 
 // The acceptance path: scan the simulator with a JSON status stream and
@@ -60,21 +165,23 @@ func TestScanMetricsAgreeWithSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var expo bytes.Buffer
-	if err := WriteMetrics(&expo, s.Metrics()); err != nil {
-		t.Fatal(err)
+	// Every count of the engine's book reads the same on /metrics, in
+	// the Summary and on the last status line — whichever of the three
+	// carry it — and the conservation laws hold between them.
+	assertBooksBalance(t, sum, s.Metrics(), nil)
+	lines := strings.Split(strings.TrimSpace(status.String()), "\n")
+	lastCounts, onPage := jsonNumbers(t, []byte(lines[len(lines)-1])), metricValues(t, s.Metrics())
+	for _, d := range core.Counts() {
+		if d.HealthOnly || d.Status == "" {
+			continue
+		}
+		if got, ok := lastCounts[d.Status]; !ok || got != onPage[d.Metric] {
+			t.Errorf("last status line %s = %v (present %v), %s = %v", d.Status, got, ok, d.Metric, onPage[d.Metric])
+		}
 	}
-	text := expo.String()
-
-	// Counters exposed on /metrics must match the metadata document.
-	if got := metricValue(t, text, "zmapgo_sent_total"); uint64(got) != sum.PacketsSent {
-		t.Errorf("zmapgo_sent_total = %v, metadata says %d", got, sum.PacketsSent)
-	}
-	if got := metricValue(t, text, "zmapgo_unique_success_total"); uint64(got) != sum.UniqueSucc {
-		t.Errorf("zmapgo_unique_success_total = %v, metadata says %d", got, sum.UniqueSucc)
-	}
-	if got := metricValue(t, text, "zmapgo_recv_total"); uint64(got) != sum.PacketsRecv {
-		t.Errorf("zmapgo_recv_total = %v, metadata says %d", got, sum.PacketsRecv)
+	if sum.PacketsSent == 0 || sum.UniqueSucc == 0 || sum.ResultsWritten != sum.ValidResponses {
+		t.Errorf("vacuous scan: %d sent, %d unique, %d of %d rows written",
+			sum.PacketsSent, sum.UniqueSucc, sum.ResultsWritten, sum.ValidResponses)
 	}
 
 	// Latency histograms recorded on the hot paths must have samples.
@@ -83,24 +190,16 @@ func TestScanMetricsAgreeWithSummary(t *testing.T) {
 		"zmapgo_recv_validate_seconds",
 		"zmapgo_sim_response_delay_seconds",
 	} {
-		if got := metricValue(t, text, h+"_count"); got == 0 {
+		if onPage[h+"_count"] == 0 {
 			t.Errorf("%s_count = 0, want samples", h)
 		}
 	}
-	if got := metricValue(t, text, "zmapgo_send_latency_seconds_count"); uint64(got) < sum.PacketsSent {
+	if got := onPage["zmapgo_send_latency_seconds_count"]; uint64(got) < sum.PacketsSent {
 		t.Errorf("send latency count %v < packets sent %d", got, sum.PacketsSent)
 	}
-	if got := metricValue(t, text, "zmapgo_validate_computes_total"); got == 0 {
+	if onPage["zmapgo_validate_computes_total"] == 0 {
 		t.Error("validator compute counter never incremented")
 	}
-	// Every validated response consults the deduper exactly once, so
-	// hits + misses must equal the validated-response count.
-	hits := metricValue(t, text, "zmapgo_dedup_hits_total")
-	misses := metricValue(t, text, "zmapgo_dedup_misses_total")
-	if uint64(hits+misses) != sum.ValidResponses {
-		t.Errorf("dedup hits %v + misses %v != valid responses %d", hits, misses, sum.ValidResponses)
-	}
-
 	// Lifecycle phases, in order, each with a start and a duration.
 	wantPhases := []string{"generation", "send", "cooldown", "drain", "done"}
 	if len(sum.Phases) != len(wantPhases) {
@@ -117,10 +216,6 @@ func TestScanMetricsAgreeWithSummary(t *testing.T) {
 
 	// JSON status stream: every line is an object; the last carries
 	// latency quantiles and per-thread rates.
-	lines := strings.Split(strings.TrimSpace(status.String()), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no status lines emitted")
-	}
 	var last map[string]any
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatalf("last status line not JSON: %v", err)
@@ -154,6 +249,58 @@ func TestScanMetricsAgreeWithSummary(t *testing.T) {
 	}
 	if threads, ok := last["thread_pps"].([]any); !ok || len(threads) != 2 {
 		t.Errorf("thread_pps = %v, want 2 entries", last["thread_pps"])
+	}
+}
+
+// Two scans in sequence on one registry: every zmapgo_* series must
+// describe the second scan once it has run — its counts and its latency
+// histograms alike — not the sum of both, and not a mix of the two.
+func TestSecondScanOnSharedRegistryStillBalances(t *testing.T) {
+	scan := func(reg *MetricsRegistry, ranges string) (*Scanner, *Summary, *bytes.Buffer) {
+		in := NewInternet(SimOptions{Seed: 500, Lossless: true, DisableBlowback: true})
+		link := in.NewLink(1<<16, 0)
+		defer link.Close()
+		var out bytes.Buffer
+		s, err := Options{
+			Ranges:   []string{ranges},
+			Ports:    "80",
+			Seed:     7,
+			Threads:  2,
+			Cooldown: 150 * time.Millisecond,
+			Results:  &out,
+			Metrics:  reg,
+		}.Compile(link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, sum, &out
+	}
+	first, sum1, out1 := scan(nil, "10.0.0.0/20")
+	assertBooksBalance(t, sum1, first.Metrics(), out1)
+	// The second scan is twice the size, so a series still bound to the
+	// first, or one that accumulated, cannot read right by accident.
+	second, sum2, out2 := scan(first.Metrics(), "10.0.0.0/19")
+	if second.Metrics() != first.Metrics() {
+		t.Fatal("the second scan did not adopt the shared registry")
+	}
+	assertBooksBalance(t, sum2, second.Metrics(), out2)
+	if sum2.PacketsSent != 2*sum1.PacketsSent || sum2.ValidResponses == 0 {
+		t.Fatalf("scans sent %d then %d probes, %d valid: want the second twice the first",
+			sum1.PacketsSent, sum2.PacketsSent, sum2.ValidResponses)
+	}
+	page := metricValues(t, second.Metrics())
+	if got := uint64(page["zmapgo_send_latency_seconds_count"]); got != sum2.PacketsSent {
+		t.Errorf("send latency histogram holds %d samples, the second scan sent %d probes", got, sum2.PacketsSent)
+	}
+	if got := uint64(page["zmapgo_recv_validate_seconds_count"]); got != sum2.PacketsRecv {
+		t.Errorf("receive latency histogram holds %d samples, the second scan received %d frames", got, sum2.PacketsRecv)
+	}
+	if got := uint64(page["zmapgo_sim_response_delay_seconds_count"]); got != sum2.PacketsRecv {
+		t.Errorf("sim delay histogram holds %d samples, the second scan's link scheduled %d responses", got, sum2.PacketsRecv)
 	}
 }
 

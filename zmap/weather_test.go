@@ -35,6 +35,7 @@ func weatherScan(t *testing.T, simSeed uint64, profile string, opts Options) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertBooksBalance(t, sum, s.Metrics(), nil)
 	return sum, link
 }
 

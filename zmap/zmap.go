@@ -242,7 +242,9 @@ type Options struct {
 	StatusCSVHeader bool          `json:"status_csv_header,omitempty"`
 	StatusInterval  time.Duration `json:"status_interval,omitempty"`
 	// Metrics optionally supplies the registry the scan records into;
-	// nil creates a private one, available via Scanner.Metrics.
+	// nil creates a private one, available via Scanner.Metrics. A
+	// registry an earlier scan used is rebound to this one: its zmapgo_*
+	// series then describe this scan alone.
 	Metrics *MetricsRegistry `json:"-"`
 
 	// TraceSampleEvery tunes the flight recorder's probe-lifecycle
@@ -395,7 +397,7 @@ func (o Options) Compile(transport Transport) (*Scanner, error) {
 	// response's modeled delay (RTT + blowback gap) as a histogram, so
 	// the sim's latency distribution is visible next to the real ones.
 	if dr, ok := transport.(delayRecordable); ok {
-		h := inner.Registry().Histogram("zmapgo_sim_response_delay_seconds",
+		h := inner.Registry().NewHistogram("zmapgo_sim_response_delay_seconds",
 			"Simulated (unscaled) response delay scheduled by the netsim link.", 1)
 		dr.SetSimDelayRecorder(h.Shard(0))
 	}
