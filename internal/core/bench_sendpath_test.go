@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"zmapgo/internal/output"
 	"zmapgo/internal/packet"
 	"zmapgo/internal/probe"
 	"zmapgo/internal/ratelimit"
+	"zmapgo/internal/target"
 	"zmapgo/internal/validate"
 )
 
@@ -29,6 +33,21 @@ func (t *nullTransport) Release([]byte)         {}
 
 func (t *nullTransport) Stats() (sent, received, dropped uint64) {
 	return t.sent.Load(), 0, 0
+}
+
+// nullScan configures a scan of 2^bits addresses on port 80 for a
+// nullTransport: nothing answers, so a short fixed cooldown ends it.
+func nullScan(t testing.TB, bits, threads int) Config {
+	t.Helper()
+	ports, err := target.ParsePorts("80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := target.NewConstraint(false)
+	cons.Allow(0x0A000000, 32-bits)
+	return Config{Constraint: cons, Ports: ports, Seed: 3, Threads: threads,
+		Cooldown: 20 * time.Millisecond, CooldownMax: -1,
+		Results: &output.CountingWriter{}}
 }
 
 func benchProbeCtx() *probe.Context {
@@ -120,6 +139,41 @@ func BenchmarkSendPathBatch(b *testing.B) {
 				}
 				done += len(frames)
 			}
+		})
+	}
+}
+
+// BenchmarkSendPathScan times the send loop the engine runs, books and
+// all, where BenchmarkSendPathBatch times a hand copy of fill and flush:
+// one op is New plus Run of a 2^16-target scan on a null transport, and
+// ns/probe is the send phase's wall time per probe. A write every thread
+// makes per probe shows up here, at threads=2, and nowhere else in the
+// file. Allocations are TestScanAllocationBudget's job: a whole scan's
+// count moves by a few with GC.
+func BenchmarkSendPathScan(b *testing.B) {
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			var sendSecs float64
+			var probes uint64
+			for i := 0; i < b.N; i++ {
+				cfg := nullScan(b, 16, threads)
+				cfg.Cooldown = time.Millisecond
+				s, err := New(cfg, &nullTransport{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				meta, err := s.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, ph := range meta.Phases {
+					if ph.Phase == "send" {
+						sendSecs += ph.DurationSecs
+					}
+				}
+				probes += meta.PacketsSent
+			}
+			b.ReportMetric(sendSecs*1e9/float64(probes), "ns/probe")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 	"zmapgo/internal/metrics"
 	"zmapgo/internal/netsim"
 	"zmapgo/internal/output"
-	"zmapgo/internal/target"
+	"zmapgo/internal/shard"
 )
 
 // registryValues renders reg as /metrics serves it and returns the
@@ -113,6 +114,37 @@ func assertBooksBalance(t testing.TB, meta *output.Metadata, reg *metrics.Regist
 	if unique, success := n("zmapgo_unique_success_total"), n("zmapgo_success_total"); unique > success || success > valid {
 		t.Errorf("want unique %d <= success %d <= valid %d", unique, success, valid)
 	}
+
+	// Every frame sent or dropped was rendered with one word, and every
+	// other word classified a frame that parsed and passed its checksums.
+	if sendersFinished(meta) {
+		words := n("zmapgo_validate_computes_total")
+		parsed := n("zmapgo_recv_total") - n("zmapgo_recv_truncated_total") -
+			n("zmapgo_recv_unsupported_total") - n("zmapgo_recv_checksum_fail_total")
+		if words < sent+drops || words > sent+drops+parsed {
+			t.Errorf("%d validation words outside [%d sent + %d dropped, + %d parsed frames]",
+				words, sent, drops, parsed)
+		}
+	}
+}
+
+// sendersFinished reports whether every frame the senders rendered was
+// attempted: no restart after a send error (which renders its batch
+// again), and no cancellation (which leaves a batch unsent), so every
+// thread walked its whole subshard or the scan reached its cap.
+func sendersFinished(meta *output.Metadata) bool {
+	if meta.SenderRestarts > 0 && meta.SendErrors > 0 {
+		return false
+	}
+	if meta.MaxTargets > 0 && meta.TargetsScanned == meta.MaxTargets {
+		return true
+	}
+	for t, done := range meta.ThreadProgress {
+		if done != shard.Plan(shard.Pizza, meta.Group-1, meta.Shards, meta.SenderThreads, meta.ShardIndex, t).Count {
+			return false
+		}
+	}
+	return true
 }
 
 // RecordsWritten lets the engine book what collectWriter took, so the
@@ -124,6 +156,25 @@ func (c *collectWriter) RecordsWritten() uint64 {
 }
 
 func TestBooksBalanceOnACleanScan(t *testing.T) {
+	// Nothing answers a null transport, so every validation word is a
+	// rendered probe's.
+	t.Run("null", func(t *testing.T) {
+		cfg := nullScan(t, 12, 2)
+		cfg.ProbesPerTarget = 2
+		s, err := New(cfg, &nullTransport{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBooksBalance(t, meta, s.Registry(), 0)
+		if v := registryValues(t, s.Registry()); v["zmapgo_validate_computes_total"] != 2*4096 || meta.PacketsSent != 2*4096 {
+			t.Errorf("%v validation words, %d sent, want %d each", v["zmapgo_validate_computes_total"], meta.PacketsSent, 2*4096)
+		}
+	})
+
 	// Double probing, two ports, a status stream and dedup on: the
 	// identities hold, and the last status line repeats the book.
 	in, cfg, sink := testbed(t, 230, "80,443")
@@ -217,16 +268,8 @@ func TestScanAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	ports, err := target.ParsePorts("80")
-	if err != nil {
-		t.Fatal(err)
-	}
 	scan := func() uint64 {
-		cons := target.NewConstraint(false)
-		cons.Allow(0x0A000000, 20)
-		cfg := Config{Constraint: cons, Ports: ports, Seed: 3, Threads: 2,
-			Cooldown: 20 * time.Millisecond, CooldownMax: -1,
-			Results: &output.CountingWriter{}}
+		cfg := nullScan(t, 12, 2)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -250,4 +293,46 @@ func TestScanAllocationBudget(t *testing.T) {
 		t.Errorf("New+Run of a 2^12-target scan allocated %d objects, ceiling %d", best, ceiling)
 	}
 	t.Logf("New+Run: %d allocations", best)
+}
+
+// panicTransport is a nullTransport whose panicOn-th SendBatch call
+// panics before sending anything. One sender thread calls it.
+type panicTransport struct {
+	nullTransport
+	calls, panicOn int
+}
+
+func (t *panicTransport) SendBatch(frames [][]byte) (int, error) {
+	if t.calls++; t.calls == t.panicOn {
+		panic("transport driver bug")
+	}
+	return t.nullTransport.SendBatch(frames)
+}
+
+func TestSenderPanicKeepsTheBooks(t *testing.T) {
+	// A sender that panics mid-flush is restarted and takes the batch in
+	// flight up again; that batch's targets must not stay on the books.
+	for _, maxTargets := range []uint64{0, 4000} {
+		t.Run(fmt.Sprintf("max_targets=%d", maxTargets), func(t *testing.T) {
+			cfg := nullScan(t, 12, 1)
+			cfg.MaxTargets = maxTargets
+			s, err := New(cfg, &panicTransport{panicOn: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(4096)
+			if maxTargets > 0 {
+				want = maxTargets
+			}
+			if meta.TargetsScanned != want || meta.PacketsSent != want || meta.SenderRestarts != 1 {
+				t.Errorf("targets %d, sent %d, restarts %d; want %d, %d, 1",
+					meta.TargetsScanned, meta.PacketsSent, meta.SenderRestarts, want, want)
+			}
+			assertBooksBalance(t, meta, s.Registry(), 0)
+		})
+	}
 }

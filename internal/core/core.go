@@ -4,7 +4,8 @@
 // architecture.
 //
 // Concurrency model: N sender goroutines each own a disjoint subshard
-// of the cyclic permutation and share nothing but atomic counters. The
+// of the cyclic permutation and share nothing per probe; they add to
+// the book's atomic counters once per batch (see sendLoop). The
 // receive side mirrors that sharding (see recv.go): a dispatcher drains
 // the transport and fans frames out to RecvWorkers workers by a flow
 // hash over (source IP, source port), so each worker owns a private
@@ -50,7 +51,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.5.0"
+const Version = "1.5.1"
 
 // DefaultProbeModule is the module a Config with no ProbeModule runs.
 const DefaultProbeModule = "tcp_synscan"
@@ -412,7 +413,8 @@ type Scanner struct {
 	transport Transport
 	space     *cyclic.Space
 	cycle     cyclic.Cycle
-	probeCtx  *probe.Context
+	probeCtx  probe.Context   // the receive path's: its validator counts every word
+	renderCtx probe.Context   // the renderer's: the same but for an uncounted validator
 	renderer  *probe.Renderer // shared by sender threads; holds no mutable state
 	counts    counts          // the one book every reported number is read from
 	progress  []atomic.Uint64
@@ -540,26 +542,6 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 	validator := validate.New(key)
 	genDur := time.Since(genStart)
 
-	probeCtx := &probe.Context{
-		SrcIP:           cfg.SourceIP,
-		SrcMAC:          cfg.SourceMAC,
-		GwMAC:           cfg.GatewayMAC,
-		Validator:       validator,
-		SourcePortBase:  cfg.SourcePortBase,
-		SourcePortCount: cfg.SourcePortCount,
-		Options:         cfg.OptionLayout,
-		RandomIPID:      cfg.RandomIPID,
-		TTL:             cfg.TTL,
-		TimestampValue:  uint32(seed),
-	}
-	// A probe build depends on the scan's context, never on the target,
-	// so a module that cannot build its template cannot build any probe:
-	// refuse the scan here rather than send nothing.
-	renderer, err := mod.MakeTemplate(probeCtx)
-	if err != nil {
-		return nil, fmt.Errorf("core: probe module %s: %w", cfg.ProbeModule, err)
-	}
-
 	// Dedup state. The sliding window is partitioned into one shard per
 	// receive worker — the flow-hash fanout guarantees every response of
 	// one (IP, port) lands on the same worker, so each shard is
@@ -618,8 +600,31 @@ func New(cfg Config, transport Transport) (*Scanner, error) {
 		firstStart:  firstStart,
 		prevSecs:    prevSecs,
 		stopCh:      make(chan struct{}),
-		probeCtx:    probeCtx,
-		renderer:    renderer,
+		probeCtx: probe.Context{
+			SrcIP:           cfg.SourceIP,
+			SrcMAC:          cfg.SourceMAC,
+			GwMAC:           cfg.GatewayMAC,
+			Validator:       validator,
+			SourcePortBase:  cfg.SourcePortBase,
+			SourcePortCount: cfg.SourcePortCount,
+			Options:         cfg.OptionLayout,
+			RandomIPID:      cfg.RandomIPID,
+			TTL:             cfg.TTL,
+			TimestampValue:  uint32(seed),
+		},
+	}
+	// Render computes exactly one word per frame, so sendLoop books
+	// len(frames) per batch and the renderer's validator counts nothing:
+	// a per-word count would be one shared write per probe. Classify keeps
+	// the counted validator, because only the module knows whether a
+	// frame got as far as a word.
+	s.renderCtx = s.probeCtx
+	s.renderCtx.Validator = validator.Uncounted()
+	// A probe build depends on the scan's context, never on the target,
+	// so a module that cannot build its template cannot build any probe:
+	// refuse the scan here rather than send nothing.
+	if s.renderer, err = mod.MakeTemplate(&s.renderCtx); err != nil {
+		return nil, fmt.Errorf("core: probe module %s: %w", cfg.ProbeModule, err)
 	}
 	// Flight recorder: one ring shard per sender thread, one per
 	// receive worker, and one reserved for the transport/netsim fault
@@ -1094,9 +1099,10 @@ func (s *Scanner) superviseSender(ctx context.Context, thread int, base shard.As
 }
 
 // runSenderOnce converts sender panics into errors so supervision can
-// restart the thread instead of crashing the scan. A panic may lose the
-// element in flight (its progress tick already happened); fatal send
-// errors do not, because sendLoop gives the element back first.
+// restart the thread instead of crashing the scan. Nothing of the batch
+// in flight is lost or booked: progress, targets and words are all
+// resolved per batch, after its flush, so the restart takes the batch up
+// again (re-sending whatever part of it already went out).
 func (s *Scanner) runSenderOnce(ctx context.Context, thread int, a shard.Assignment) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1224,7 +1230,7 @@ func (rs *rateState) finish() {
 // but not yet resolved into the thread's progress counter.
 type pendingElem struct {
 	frames  int  // probe frames this element contributed to the batch
-	counted bool // whether it took a MaxTargets slot (decoded targets)
+	counted bool // a target (probed or quarantine-skipped): booked in targets at resolve
 }
 
 // sendLoop walks one subshard through a batched, zero-allocation
@@ -1232,6 +1238,13 @@ type pendingElem struct {
 // rate tokens in batch grants, flush via SendBatch, then resolve
 // progress. It owns its iterator and ring; nothing is shared except the
 // per-thread progress counter, which makes the scan resumable.
+//
+// The per-element path writes nothing another goroutine writes: a
+// batch's targets and validation words are booked once, at resolve. The
+// exception is a MaxTargets cap, a budget every thread draws from: there
+// each decoded target takes its slot at fill time, so the cap is exact at
+// any thread count, and resolve gives back the slots of elements it did
+// not keep.
 //
 // Progress discipline: the thread's counter advances only after every
 // frame of an element has been handled by the transport (sent, or
@@ -1284,6 +1297,18 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 	base := s.progress[thread].Load()
 	resolved := uint64(0) // elements fully handled since loop start
 
+	// held counts the cap slots the batch in flight has taken; a panic
+	// unwinding the loop gives them back, as resolve would have.
+	capped := cfg.MaxTargets > 0
+	var held uint64
+	if capped {
+		defer func() {
+			if held > 0 {
+				s.counts.targets.Add(-held)
+			}
+		}()
+	}
+
 	for {
 		// Sync with the global health controller once per batch: cheap
 		// (one atomic read), owner-goroutine-safe, and fast enough that a
@@ -1318,12 +1343,15 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 				pending = append(pending, pendingElem{})
 				continue
 			}
-			if n := s.counts.targets.Add(1); cfg.MaxTargets > 0 && n > cfg.MaxTargets {
-				// Over budget: give the slot back and leave the element
-				// un-resolved so a resumed scan covers it.
-				s.counts.targets.Add(^uint64(0))
-				last = true
-				break
+			if capped {
+				if s.counts.targets.Add(1) > cfg.MaxTargets {
+					// Over budget: give the slot back and leave the
+					// element un-resolved so a resumed scan covers it.
+					s.counts.targets.Add(^uint64(0))
+					last = true
+					break
+				}
+				held++
 			}
 			ip := cfg.Constraint.At(ipIdx)
 			port := cfg.Ports.At(int(portIdx))
@@ -1370,23 +1398,35 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 		handled, outcome, err := s.flushBatch(ctx, limiter, frames, frameKeys, tsh, rs, sendLat, backoffLat)
 
 		// Resolve: elements whose frames all went out (and the zero-frame
-		// elements between them) advance progress; everything at or past
-		// the first unhandled frame is given back.
+		// elements between them) advance progress and are booked as
+		// targets; everything at or past the first unhandled frame is left
+		// for a restart or a resumed scan. Every rendered frame computed
+		// one validation word, handled or not.
 		used := 0
 		batchResolved := 0
+		var kept uint64
 		for _, pe := range pending {
 			if used+pe.frames > handled {
 				break
 			}
 			used += pe.frames
 			batchResolved++
-		}
-		resolved += uint64(batchResolved)
-		for _, pe := range pending[batchResolved:] {
 			if pe.counted {
-				s.counts.targets.Add(^uint64(0))
+				kept++
 			}
 		}
+		resolved += uint64(batchResolved)
+		if len(frames) > 0 {
+			s.counts.computes.Add(uint64(len(frames)))
+		}
+		if !capped {
+			if kept > 0 {
+				s.counts.targets.Add(kept)
+			}
+		} else if held > kept {
+			s.counts.targets.Add(-(held - kept))
+		}
+		held = 0
 		s.progress[thread].Store(base + resolved)
 
 		switch outcome {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -261,21 +262,33 @@ func TestShardsPartitionScan(t *testing.T) {
 }
 
 func TestMaxTargetsCap(t *testing.T) {
-	in, cfg, _ := testbed(t, 105, "80")
-	cfg.MaxTargets = 100
-	cfg.Threads = 1
-	link := netsim.NewLink(in, 1<<16, 0)
-	defer link.Close()
-	s, err := New(cfg, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.PacketsSent != 100 {
-		t.Errorf("sent %d probes with MaxTargets=100", meta.PacketsSent)
+	// The cap is one budget every sender thread draws from: exact at any
+	// thread count and batch size, whether it binds or not.
+	const eligible = 1 << 12
+	for _, threads := range []int{1, 2, 4, 8} {
+		for _, batch := range []int{1, 64} {
+			for _, maxTargets := range []uint64{100, eligible - 1, eligible + 1} {
+				t.Run(fmt.Sprintf("threads=%d/batch=%d/cap=%d", threads, batch, maxTargets), func(t *testing.T) {
+					cfg := nullScan(t, 12, threads)
+					cfg.BatchSize, cfg.MaxTargets = batch, maxTargets
+					s, err := New(cfg, &nullTransport{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					meta, err := s.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := min(maxTargets, eligible); meta.TargetsScanned != want {
+						t.Errorf("targets_scanned = %d, want %d", meta.TargetsScanned, want)
+					}
+					if meta.PacketsSent != meta.TargetsScanned*uint64(meta.Probes) {
+						t.Errorf("sent %d probes for %d targets", meta.PacketsSent, meta.TargetsScanned)
+					}
+					assertBooksBalance(t, meta, s.Registry(), 0)
+				})
+			}
+		}
 	}
 }
 

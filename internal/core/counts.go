@@ -25,9 +25,12 @@ import (
 type counts struct {
 	// Send side. Every target a sender takes ends up skipped
 	// (quarantined prefix) or as ProbesPerTarget frames that are each
-	// sent or dropped. targets is also the MaxTargets budget: taken at
-	// fill time and given back for elements a batch did not resolve, so
-	// it can dip by at most one batch per thread mid-scan.
+	// sent or dropped. Sender threads book targets, like sent and
+	// computes, once per batch rather than per probe: at resolve, so
+	// mid-scan it lags by at most one batch per thread and is exact once
+	// Run returns. Under a MaxTargets cap, targets is also the
+	// budget every thread draws from: taken per target at fill time and
+	// given back for elements a batch did not resolve.
 	targets         atomic.Uint64
 	quarantineSkips atomic.Uint64
 	paroleProbes    atomic.Uint64 // of the targets probed, those riding a parole budget
@@ -58,7 +61,11 @@ type counts struct {
 	rowsLost atomic.Uint64
 
 	checkpoints atomic.Uint64 // snapshots persisted
-	computes    atomic.Uint64 // validation words computed, both hot paths
+
+	// Validation words: the send path books len(frames) per batch (its
+	// renderer's validator counts nothing), the receive path's validator
+	// adds one per word Classify computes.
+	computes atomic.Uint64
 }
 
 // Count is one line of the book's table: the /metrics series a count is

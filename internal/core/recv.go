@@ -325,7 +325,7 @@ func (s *Scanner) handleFrame(w *recvWorker, frame []byte, t0 time.Time, cooldow
 			s.health.NoteUnreach(q.Dst)
 		}
 	}
-	res, ok := s.module.Classify(s.probeCtx, f)
+	res, ok := s.module.Classify(&s.probeCtx, f)
 	if !ok {
 		// Well-formed but unvalidatable: spoofed or unsolicited
 		// traffic that carries no proof it answers our probe.

@@ -246,7 +246,7 @@ func collectResponseFrames(t testing.TB, s *Scanner, n int) [][]byte {
 	var probe []byte
 	for ip := uint32(0x0A000000); len(frames) < n; ip++ {
 		var err error
-		if probe, err = s.module.MakeProbe(probe[:0], s.probeCtx, ip, 80); err != nil {
+		if probe, err = s.module.MakeProbe(probe[:0], &s.probeCtx, ip, 80); err != nil {
 			t.Fatal(err)
 		}
 		resp := in.Respond(probe)

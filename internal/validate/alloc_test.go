@@ -30,7 +30,8 @@ func TestComputeZeroAlloc(t *testing.T) {
 }
 
 // Concurrent callers must see the same words a lone caller computes:
-// a pooled scratch block must never bleed between flows, v4 or v6.
+// a pooled scratch block must never bleed between flows, v4 or v6, nor
+// between a validator and the uncounted view that shares its pool.
 func TestComputeConcurrent(t *testing.T) {
 	v := New([KeySize]byte{7, 7, 7})
 	const flows = 512
@@ -44,6 +45,10 @@ func TestComputeConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
+		v := v
+		if g%2 == 1 {
+			v = v.Uncounted()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -86,10 +86,15 @@ func (w Word) ICMPIDSeq() (id, seq uint16) { return uint16(w.lo >> 16), uint16(w
 // stack. The pool also makes the Validator safe for concurrent use by
 // sender threads and receive workers.
 type Validator struct {
-	key      [KeySize]byte
-	block    cipher.Block
+	*keyed
 	computes ComputeCounter
-	scratch  sync.Pool // *[aes.BlockSize]byte
+}
+
+// keyed is what every view of one validator shares (see Uncounted).
+type keyed struct {
+	key     [KeySize]byte
+	block   cipher.Block
+	scratch sync.Pool // *[aes.BlockSize]byte
 }
 
 // New creates a Validator with the given per-scan key.
@@ -99,8 +104,14 @@ func New(key [KeySize]byte) *Validator {
 		// Only a wrong key length fails, and the array type fixes it.
 		panic("validate: " + err.Error())
 	}
-	return &Validator{key: key, block: block}
+	return &Validator{keyed: &keyed{key: key, block: block}}
 }
+
+// Uncounted returns a view of v that computes the same words through the
+// same cipher and scratch pool but counts none of them, for a caller
+// that books its words itself in bulk. A counter attached to v, before or
+// after, does not reach the view.
+func (v *Validator) Uncounted() *Validator { return &Validator{keyed: v.keyed} }
 
 // NewRandom creates a Validator with a fresh random key.
 func NewRandom() (*Validator, error) {

@@ -198,3 +198,19 @@ func TestInstrumentCountsComputes(t *testing.T) {
 		t.Errorf("counter advanced after detach: %d", c.n)
 	}
 }
+
+func TestUncountedViewComputesTheSameWords(t *testing.T) {
+	v := New([KeySize]byte{1})
+	u := v.Uncounted()
+	c := &countingAdder{}
+	v.Instrument(c) // after the view was taken: the view must still count nothing
+	if u.Word(1, 2, 80) != v.Word(1, 2, 80) || u.Word6([16]byte{1}, [16]byte{2}, 443) != v.Word6([16]byte{1}, [16]byte{2}, 443) {
+		t.Error("the uncounted view computes different words")
+	}
+	if u.Key() != v.Key() {
+		t.Error("the uncounted view has a different key")
+	}
+	if c.n != 2 {
+		t.Errorf("compute counter = %d, want 2 (the counted validator's words only)", c.n)
+	}
+}

@@ -7,8 +7,8 @@
 //	go test -run XXX -bench BenchmarkSendPath ./internal/core | \
 //	    go run ./scripts/benchjson -baseline BenchmarkSendPathPerProbe
 //
-// Each benchmark line becomes an entry with ns/op, derived ops/sec, and
-// any B/op / allocs/op columns. When -baseline names a benchmark, every
+// Each benchmark line becomes an entry with ns/op, derived ops/sec, any
+// B/op / allocs/op columns, and any custom b.ReportMetric units. When -baseline names a benchmark, every
 // other entry also reports its speedup relative to it. The report
 // records the GOMAXPROCS the benchmarks ran at, read from the -N suffix
 // go test appends to their names (none means 1): a figure says nothing
@@ -43,6 +43,10 @@ type entry struct {
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	Speedup     float64 `json:"speedup_vs_baseline,omitempty"`
+
+	// Metrics holds what the benchmark reported with b.ReportMetric,
+	// by unit (e.g. "ns/probe").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type report struct {
@@ -194,7 +198,7 @@ func compareReports(oldPath string, cur report, tolerance string) int {
 }
 
 // parseBenchLine parses one `BenchmarkName-8  N  X ns/op [Y B/op Z
-// allocs/op]` line. Columns beyond ns/op are optional.
+// allocs/op] [V unit ...]` line. Columns beyond ns/op are optional.
 func parseBenchLine(line string) (entry, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || f[3] != "ns/op" {
@@ -212,17 +216,22 @@ func parseBenchLine(line string) (entry, bool) {
 		OpsPerSec:  round2(1e9 / ns),
 	}
 	for i := 4; i+1 < len(f); i += 2 {
-		v, err := strconv.ParseInt(f[i], 10, 64)
+		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			continue
 		}
-		switch f[i+1] {
+		switch unit := f[i+1]; unit {
 		case "B/op":
-			b := v
+			b := int64(v)
 			e.BytesPerOp = &b
 		case "allocs/op":
-			a := v
+			a := int64(v)
 			e.AllocsPerOp = &a
+		default:
+			if e.Metrics == nil {
+				e.Metrics = map[string]float64{}
+			}
+			e.Metrics[unit] = v
 		}
 	}
 	return e, true

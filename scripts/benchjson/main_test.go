@@ -53,3 +53,14 @@ func TestCompareReports(t *testing.T) {
 		t.Errorf("missing baseline: exit code %d, want 1", got)
 	}
 }
+
+func TestParseBenchLineKeepsCustomMetrics(t *testing.T) {
+	e, ok := parseBenchLine("BenchmarkSendPathScan/threads=2-2   	     200	   9876543 ns/op	        75.31 ns/probe")
+	if !ok || e.NsPerOp != 9876543 || e.Metrics["ns/probe"] != 75.31 || e.AllocsPerOp != nil {
+		t.Errorf("parsed %+v, ok %v", e, ok)
+	}
+	e, ok = parseBenchLine("BenchmarkA-2  10  5.5 ns/op  8 B/op  1 allocs/op")
+	if !ok || *e.BytesPerOp != 8 || *e.AllocsPerOp != 1 || e.Metrics != nil {
+		t.Errorf("parsed %+v, ok %v", e, ok)
+	}
+}

@@ -55,6 +55,12 @@ echo "==> scan benchmark smoke: reflector contract, ledger accept/forge assertio
 go run ./bench -workload recv_reflect -seed 2 -seconds 3 -trace 1 > "$tracedir/bench.txt" \
     || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
 
+# The traced send_null pass is the only check that the send loop probes
+# every target exactly once (a bitmap over the whole range).
+echo "==> scan benchmark smoke: send path exactly-once oracle"
+go run ./bench -workload send_null -seed 2 -seconds 3 -trace 1 > "$tracedir/bench.txt" \
+    || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
+
 echo "==> bench-check: allocs/op against the committed BENCH_*.json baselines"
 make bench-check
 
