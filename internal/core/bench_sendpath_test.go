@@ -148,15 +148,25 @@ func BenchmarkSendPathBatch(b *testing.B) {
 // one op is New plus Run of a 2^16-target scan on a null transport, and
 // ns/probe is the send phase's wall time per probe. A write every thread
 // makes per probe shows up here, at threads=2, and nowhere else in the
-// file. Allocations are TestScanAllocationBudget's job: a whole scan's
-// count moves by a few with GC.
+// file. The sparse row scans 2^19 targets on two threads: the 2^24+43
+// group walks 32 elements per probe, as the paced_sim workload does, so
+// it prices the walk past out-of-space elements. Allocations are
+// TestScanAllocationBudget's job: a whole scan's count moves by a few
+// with GC.
 func BenchmarkSendPathScan(b *testing.B) {
-	for _, threads := range []int{1, 2} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+	for _, sc := range []struct {
+		name          string
+		bits, threads int
+	}{
+		{"threads=1", 16, 1},
+		{"threads=2", 16, 2},
+		{"sparse", 19, 2},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
 			var sendSecs float64
 			var probes uint64
 			for i := 0; i < b.N; i++ {
-				cfg := nullScan(b, 16, threads)
+				cfg := nullScan(b, sc.bits, sc.threads)
 				cfg.Cooldown = time.Millisecond
 				s, err := New(cfg, &nullTransport{})
 				if err != nil {

@@ -82,16 +82,50 @@ func TestGracefulStopFinishesCleanly(t *testing.T) {
 }
 
 func TestCheckpointResumeExactlyOnce(t *testing.T) {
+	// The sparse input is 1025 addresses: the 65537 group walks 64
+	// elements per target, so the interrupt and the resume point fall
+	// among runs of skipped elements.
+	cases := []struct {
+		name     string
+		prefixes []int // consecutive blocks from 10.0.0.0
+		rate     float64
+	}{
+		{"dense", []int{18}, 20000},
+		{"sparse", []int{22, 32}, 2000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			testCheckpointResumeExactlyOnce(t, tc.prefixes, tc.rate)
+		})
+	}
+}
+
+func testCheckpointResumeExactlyOnce(t *testing.T, prefixes []int, rate float64) {
+	base, addrs := uint32(0x0A000000), uint32(0)
+	cons := target.NewConstraint(false)
+	for _, bits := range prefixes {
+		cons.Allow(base+addrs, bits)
+		addrs += 1 << (32 - bits)
+	}
+	bed := func() (*netsim.Internet, Config, *collectWriter) {
+		in, cfg, sink := testbed(t, 131, "80")
+		cfg.Constraint = cons
+		return in, cfg, sink
+	}
+
 	// Run 1: graceful interrupt mid-scan, final checkpoint is exact.
 	ckpt := filepath.Join(t.TempDir(), "scan.ckpt")
-	in, cfg, sink1 := testbed(t, 131, "80")
-	cfg.Rate = 20000
+	in, cfg, sink1 := bed()
+	cfg.Rate = rate
 	cfg.Cooldown = 150 * time.Millisecond
 	cfg.CheckpointPath = ckpt
 	link1 := netsim.NewLink(in, 1<<16, 0)
 	s1, err := New(cfg, link1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := s1.Space().Targets(); got != uint64(addrs) {
+		t.Fatalf("space holds %d targets, want %d", got, addrs)
 	}
 	done := make(chan *output.Metadata, 1)
 	go func() {
@@ -105,7 +139,7 @@ func TestCheckpointResumeExactlyOnce(t *testing.T) {
 	s1.Stop()
 	meta1 := <-done
 	link1.Close()
-	if meta1.PacketsSent == 0 || meta1.PacketsSent >= 16384 {
+	if meta1.PacketsSent == 0 || meta1.PacketsSent >= uint64(addrs) {
 		t.Fatalf("interrupt landed outside the scan: sent %d", meta1.PacketsSent)
 	}
 
@@ -116,7 +150,7 @@ func TestCheckpointResumeExactlyOnce(t *testing.T) {
 
 	// Run 2: resume with Seed zero — it must be adopted from the
 	// checkpoint — against an identically-populated fresh sim.
-	in2, cfg2, sink2 := testbed(t, 131, "80")
+	in2, cfg2, sink2 := bed()
 	cfg2.Seed = 0
 	cfg2.Resume = snap
 	cfg2.CheckpointPath = ckpt
@@ -131,9 +165,9 @@ func TestCheckpointResumeExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if total := meta1.PacketsSent + meta2.PacketsSent; total != 16384 {
-		t.Errorf("runs sent %d+%d = %d probes, want exactly 16384",
-			meta1.PacketsSent, meta2.PacketsSent, total)
+	if total := meta1.PacketsSent + meta2.PacketsSent; total != uint64(addrs) {
+		t.Errorf("runs sent %d+%d = %d probes, want exactly %d",
+			meta1.PacketsSent, meta2.PacketsSent, total, addrs)
 	}
 	seen := map[string]int{}
 	for _, r := range append(sink1.all(), sink2.all()...) {
@@ -146,7 +180,7 @@ func TestCheckpointResumeExactlyOnce(t *testing.T) {
 			t.Errorf("%s reported as new success %d times across the runs", addr, n)
 		}
 	}
-	want := expectedHits(in, []uint16{80}, cfg.OptionLayout)
+	want := expectedHitsIn(in, addrs, []uint16{80}, cfg.OptionLayout)
 	if len(seen) != want {
 		t.Errorf("union found %d services, ground truth %d", len(seen), want)
 	}

@@ -51,7 +51,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.5.1"
+const Version = "1.5.2"
 
 // DefaultProbeModule is the module a Config with no ProbeModule runs.
 const DefaultProbeModule = "tcp_synscan"
@@ -1226,11 +1226,31 @@ func (rs *rateState) finish() {
 	}
 }
 
-// pendingElem tracks one permutation element consumed during batch fill
-// but not yet resolved into the thread's progress counter.
-type pendingElem struct {
-	frames  int  // probe frames this element contributed to the batch
-	counted bool // a target (probed or quarantine-skipped): booked in targets at resolve
+// pendingRun tracks a run of permutation elements consumed during batch
+// fill but not yet resolved into the thread's progress counter: a probed
+// target and the zero-frame elements after it, or a batch's leading
+// zero-frame elements.
+type pendingRun struct {
+	frames  int    // probe frames the run contributed to the batch
+	elems   uint64 // permutation elements in the run
+	targets uint64 // targets among them (probed or quarantine-skipped): booked at resolve
+}
+
+// skipElems books n zero-frame elements, targets of them quarantine
+// skips and the rest outside the target space. A zero-frame element
+// resolves exactly when the entry before it does, so it joins that
+// entry; only a batch's leading run needs one of its own. pending
+// therefore holds at most one entry per probed target plus one.
+func skipElems(pending []pendingRun, n, targets uint64) []pendingRun {
+	if n == 0 {
+		return pending
+	}
+	if k := len(pending); k > 0 {
+		pending[k-1].elems += n
+		pending[k-1].targets += targets
+		return pending
+	}
+	return append(pending, pendingRun{elems: n, targets: targets})
 }
 
 // sendLoop walks one subshard through a batched, zero-allocation
@@ -1291,7 +1311,7 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 	// and retry paths use it to record sent/retried/dropped events
 	// without re-deriving the target from frame bytes.
 	frameKeys := make([]uint64, 0, batchCap)
-	pending := make([]pendingElem, 0, batchCap)
+	pending := make([]pendingRun, 0, batchCap+1)
 
 	it := a.Iterator(s.cycle)
 	base := s.progress[thread].Load()
@@ -1315,34 +1335,32 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 		// rate cut takes effect within one batch of probes.
 		rs.applyRate()
 
-		// Fill phase: consume elements and render their frames until the
-		// ring is full, the subshard ends, the context dies, or the
-		// MaxTargets budget runs out. Nothing here advances progress.
+		// Fill phase: walk to targets and render their frames until the
+		// ring is full, the subshard ends, or the MaxTargets budget runs
+		// out. Nothing here advances progress. The context is checked
+		// once per batch: a fill takes microseconds, and a context that
+		// dies during it stops the flush before its first frame, so
+		// nothing of the batch is sent or resolved but its leading run of
+		// skipped elements.
 		frames = frames[:0]
 		frameKeys = frameKeys[:0]
 		pending = pending[:0]
 		last := false
-		for len(frames)+cfg.ProbesPerTarget <= batchCap {
-			select {
-			case <-ctx.Done():
+		select {
+		case <-ctx.Done():
+			last = true
+		default:
+		}
+		for !last && len(frames)+cfg.ProbesPerTarget <= batchCap {
+			// Elements outside the target space are skipped inside the
+			// walk and resolve with the batch, contributing no frames.
+			ipIdx, portIdx, walked, ok := it.NextInSpace(s.space)
+			if !ok {
+				pending = skipElems(pending, walked, 0)
 				last = true
-			default:
-			}
-			if last {
 				break
 			}
-			elem, ok := it.Next()
-			if !ok {
-				last = true
-				break
-			}
-			ipIdx, portIdx, ok := s.space.Decode(elem)
-			if !ok {
-				// Outside the target space: resolves with the batch,
-				// contributing no frames.
-				pending = append(pending, pendingElem{})
-				continue
-			}
+			pending = skipElems(pending, walked-1, 0)
 			if capped {
 				if s.counts.targets.Add(1) > cfg.MaxTargets {
 					// Over budget: give the slot back and leave the
@@ -1368,7 +1386,7 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 					// resumed scan must not re-probe into the
 					// quarantine either.
 					s.counts.quarantineSkips.Add(1)
-					pending = append(pending, pendingElem{counted: true})
+					pending = skipElems(pending, 1, 1)
 					continue
 				}
 			}
@@ -1390,7 +1408,7 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 			if s.health != nil {
 				s.health.NoteSent(ip, uint64(cfg.ProbesPerTarget))
 			}
-			pending = append(pending, pendingElem{frames: cfg.ProbesPerTarget, counted: true})
+			pending = append(pending, pendingRun{frames: cfg.ProbesPerTarget, elems: 1, targets: 1})
 		}
 
 		// Flush phase: tokens are drawn in batch grants and consumed only
@@ -1403,19 +1421,15 @@ func (s *Scanner) sendLoop(ctx context.Context, thread int, a shard.Assignment) 
 		// for a restart or a resumed scan. Every rendered frame computed
 		// one validation word, handled or not.
 		used := 0
-		batchResolved := 0
 		var kept uint64
-		for _, pe := range pending {
-			if used+pe.frames > handled {
+		for _, pr := range pending {
+			if used+pr.frames > handled {
 				break
 			}
-			used += pe.frames
-			batchResolved++
-			if pe.counted {
-				kept++
-			}
+			used += pr.frames
+			resolved += pr.elems
+			kept += pr.targets
 		}
-		resolved += uint64(batchResolved)
 		if len(frames) > 0 {
 			s.counts.computes.Add(uint64(len(frames)))
 		}

@@ -90,9 +90,14 @@ func resumeFrom(prev *Scanner, progress []uint64) *checkpoint.Snapshot {
 
 // expectedHits counts loss-free SYN-ACK targets in the scanned range.
 func expectedHits(in *netsim.Internet, ports []uint16, layout packet.OptionLayout) int {
+	return expectedHitsIn(in, 16384, ports, layout)
+}
+
+// expectedHitsIn counts them among the addrs addresses from 10.0.0.0.
+func expectedHitsIn(in *netsim.Internet, addrs uint32, ports []uint16, layout packet.OptionLayout) int {
 	opts := packet.BuildOptions(layout, 0)
 	n := 0
-	for ip := uint32(0x0A000000); ip < 0x0A000000+16384; ip++ {
+	for ip := uint32(0x0A000000); ip < 0x0A000000+addrs; ip++ {
 		for _, p := range ports {
 			if in.ExpectedSYNACK(ip, p, opts) {
 				n++
@@ -263,30 +268,43 @@ func TestShardsPartitionScan(t *testing.T) {
 
 func TestMaxTargetsCap(t *testing.T) {
 	// The cap is one budget every sender thread draws from: exact at any
-	// thread count and batch size, whether it binds or not.
-	const eligible = 1 << 12
-	for _, threads := range []int{1, 2, 4, 8} {
-		for _, batch := range []int{1, 64} {
-			for _, maxTargets := range []uint64{100, eligible - 1, eligible + 1} {
-				t.Run(fmt.Sprintf("threads=%d/batch=%d/cap=%d", threads, batch, maxTargets), func(t *testing.T) {
-					cfg := nullScan(t, 12, threads)
-					cfg.BatchSize, cfg.MaxTargets = batch, maxTargets
-					s, err := New(cfg, &nullTransport{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					meta, err := s.Run(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := min(maxTargets, eligible); meta.TargetsScanned != want {
-						t.Errorf("targets_scanned = %d, want %d", meta.TargetsScanned, want)
-					}
-					if meta.PacketsSent != meta.TargetsScanned*uint64(meta.Probes) {
-						t.Errorf("sent %d probes for %d targets", meta.PacketsSent, meta.TargetsScanned)
-					}
-					assertBooksBalance(t, meta, s.Registry(), 0)
-				})
+	// thread count and batch size, whether it binds or not. Three ports
+	// leave a fourth, empty port slot per address, so there a capped
+	// target can follow a run of skipped elements.
+	inputs := []struct {
+		prefix, ports string
+		eligible      uint64
+	}{
+		{"", "80", 1 << 12},
+		{"ports=3/", "80,443,22", 3 << 12},
+	}
+	for _, in := range inputs {
+		eligible := in.eligible
+		for _, threads := range []int{1, 2, 4, 8} {
+			for _, batch := range []int{1, 64} {
+				for _, maxTargets := range []uint64{100, eligible - 1, eligible + 1} {
+					name := fmt.Sprintf("%sthreads=%d/batch=%d/cap=%d", in.prefix, threads, batch, maxTargets)
+					t.Run(name, func(t *testing.T) {
+						cfg := nullScan(t, 12, threads)
+						cfg.Ports = mustPorts(t, in.ports)
+						cfg.BatchSize, cfg.MaxTargets = batch, maxTargets
+						s, err := New(cfg, &nullTransport{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						meta, err := s.Run(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := min(maxTargets, eligible); meta.TargetsScanned != want {
+							t.Errorf("targets_scanned = %d, want %d", meta.TargetsScanned, want)
+						}
+						if meta.PacketsSent != meta.TargetsScanned*uint64(meta.Probes) {
+							t.Errorf("sent %d probes for %d targets", meta.PacketsSent, meta.TargetsScanned)
+						}
+						assertBooksBalance(t, meta, s.Registry(), 0)
+					})
+				}
 			}
 		}
 	}

@@ -28,6 +28,7 @@ package cyclic
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"zmapgo/internal/mathx"
@@ -190,6 +191,7 @@ type Iterator struct {
 	p         uint64
 	cur       uint64 // current element, valid when remaining > 0
 	step      uint64 // Generator^stride mod P
+	stepQ     uint64 // floor(step·2^64 / P): Shoup's quotient for step
 	remaining uint64
 }
 
@@ -201,12 +203,29 @@ func (c Cycle) Iterate(start, count, stride uint64) *Iterator {
 	if stride == 0 {
 		stride = 1
 	}
+	step := mathx.PowMod(c.Generator, stride%order, c.Group.P)
+	stepQ, _ := bits.Div64(step, 0, c.Group.P)
 	return &Iterator{
 		p:         c.Group.P,
 		cur:       c.Element(start),
-		step:      mathx.PowMod(c.Generator, stride%order, c.Group.P),
+		step:      step,
+		stepQ:     stepQ,
 		remaining: count,
 	}
+}
+
+// mulStep returns x·w mod p for x < p, given wq = floor(w·2^64 / p), by
+// Shoup's method: hi(x·wq) is floor(x·w/p) or one less, so x·w minus
+// that multiple of p, taken mod 2^64, lies in [0, 2p) and one conditional
+// subtract finishes it. Three multiplies and no division; exact for every
+// p < 2^63, and the largest group is 2^48+21.
+func mulStep(x, w, wq, p uint64) uint64 {
+	q, _ := bits.Mul64(x, wq)
+	r := x*w - q*p
+	if r >= p {
+		r -= p
+	}
+	return r
 }
 
 // Next returns the next group element, or ok=false when the iterator is
@@ -217,8 +236,35 @@ func (it *Iterator) Next() (elem uint64, ok bool) {
 	}
 	it.remaining--
 	elem = it.cur
-	it.cur = mathx.MulMod(it.cur, it.step, it.p)
+	it.cur = mulStep(it.cur, it.step, it.stepQ, it.p)
 	return elem, true
+}
+
+// NextInSpace walks to the next element that decodes inside s and returns
+// its target indices, with walked counting the elements it consumed, the
+// returned one included. At exhaustion ok is false and walked counts the
+// trailing elements that fell outside s. It consumes exactly the elements
+// Next would, in the same order, and accepts exactly those Decode does;
+// an element outside the space costs one multiply step and a compare.
+func (it *Iterator) NextInSpace(s *Space) (ipIdx, portIdx, walked uint64, ok bool) {
+	cur, rem := it.cur, it.remaining
+	step, stepQ, p := it.step, it.stepQ, it.p
+	// v < limit is ipIdx < NumIPs; the port test matters only when
+	// NumPorts is not a power of two.
+	limit := s.NumIPs << s.portBits
+	mask := uint64(1)<<s.portBits - 1
+	for rem > 0 {
+		rem--
+		walked++
+		v := cur - 1
+		cur = mulStep(cur, step, stepQ, p)
+		if v < limit && v&mask < s.NumPorts {
+			it.cur, it.remaining = cur, rem
+			return v >> s.portBits, v & mask, walked, true
+		}
+	}
+	it.cur, it.remaining = cur, rem
+	return 0, 0, walked, false
 }
 
 // Remaining returns how many elements the iterator has yet to produce.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -109,11 +110,25 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // longer leaks past scan end.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.ready.Store(false)
-	return s.srv.Shutdown(ctx)
+	_ = s.ln.Close()
+	return ignoreClosed(s.srv.Shutdown(ctx))
 }
 
 // Close stops the server immediately, dropping in-flight requests.
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	return s.srv.Close()
+	_ = s.ln.Close()
+	return ignoreClosed(s.srv.Close())
+}
+
+// ignoreClosed drops the error of closing an already-closed listener.
+// Shutdown and Close close the listener themselves before stopping the
+// http.Server, because the server closes only listeners its Serve
+// goroutine has already tracked, and that goroutine may not have started
+// yet. The server's own close of the listener then reports net.ErrClosed.
+func ignoreClosed(err error) error {
+	if errors.Is(err, net.ErrClosed) {
+		return nil
+	}
+	return err
 }

@@ -271,13 +271,9 @@ func (s *Scanner) sendLoop(ctx context.Context, a shard.Assignment) {
 			return
 		default:
 		}
-		elem, ok := it.Next()
+		idx, portIdx, _, ok := it.NextInSpace(s.space)
 		if !ok {
 			return
-		}
-		idx, portIdx, ok := s.space.Decode(elem)
-		if !ok {
-			continue
 		}
 		addr := cfg.Hitlist.At(int(idx))
 		port := cfg.Ports.At(int(portIdx))

@@ -61,6 +61,13 @@ echo "==> scan benchmark smoke: send path exactly-once oracle"
 go run ./bench -workload send_null -seed 2 -seconds 3 -trace 1 > "$tracedir/bench.txt" \
     || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
 
+# scan_sim's oracle checks that every eligible target of a sparse,
+# blocklisted, two-port space was probed: the walk past out-of-space
+# elements must skip nothing it should not.
+echo "==> scan benchmark smoke: sparse two-port coverage oracle"
+go run ./bench -workload scan_sim -seed 2 -seconds 3 > "$tracedir/bench.txt" \
+    || { tail -n 40 "$tracedir/bench.txt" >&2; echo "benchmark oracle violated" >&2; exit 1; }
+
 echo "==> bench-check: allocs/op against the committed BENCH_*.json baselines"
 make bench-check
 
