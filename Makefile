@@ -25,11 +25,12 @@ check:
 # bench regenerates the committed baselines: the send-path shapes
 # (probes/sec, ns/probe, allocs/probe with speedups vs per-probe), the
 # flight-recorder hot path (RecordAt must stay <= 50 ns / 0 allocs; the
-# Stamp variant prices the optional time.Now) and the receive path (the
-# repeat floor, and a first sighting with its row written). Baselines
-# and bench-check's runs share -cpu 2: a figure says nothing about
-# scaling without its GOMAXPROCS, and benchjson refuses to compare
-# across settings.
+# Stamp variant prices the optional time.Now), the receive path (the
+# repeat floor, and a first sighting with its row written) and the
+# simulated Internet's link (a 64-probe batch answered, delivered and
+# released must stay at 0 allocs). Baselines and bench-check's runs
+# share -cpu 2: a figure says nothing about scaling without its
+# GOMAXPROCS, and benchjson refuses to compare across settings.
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkSendPath' -cpu 2 -benchtime=2s ./internal/core \
 		| $(GO) run ./scripts/benchjson -baseline BenchmarkSendPathPerProbe \
@@ -43,6 +44,10 @@ bench:
 		| $(GO) run ./scripts/benchjson -baseline 'BenchmarkRecvPath/workers=1' \
 		> BENCH_recvpath.json
 	@cat BENCH_recvpath.json
+	$(GO) test -run XXX -bench 'BenchmarkLinkSendBatch' -cpu 2 -benchmem -benchtime=2s ./internal/netsim \
+		| $(GO) run ./scripts/benchjson \
+		> BENCH_netsim.json
+	@cat BENCH_netsim.json
 
 # bench-check reruns the same benchmarks against the committed baselines
 # and fails on any rise in allocs/op. Set BENCH_TOLERANCE=10% to also
@@ -55,6 +60,8 @@ bench-check:
 		| $(GO) run ./scripts/benchjson -compare BENCH_trace.json -tolerance '$(BENCH_TOLERANCE)'
 	$(GO) test -run XXX -bench 'BenchmarkRecvPath' -cpu 2 -benchmem -benchtime=0.5s ./internal/core \
 		| $(GO) run ./scripts/benchjson -compare BENCH_recvpath.json -tolerance '$(BENCH_TOLERANCE)'
+	$(GO) test -run XXX -bench 'BenchmarkLinkSendBatch' -cpu 2 -benchmem -benchtime=0.5s ./internal/netsim \
+		| $(GO) run ./scripts/benchjson -compare BENCH_netsim.json -tolerance '$(BENCH_TOLERANCE)'
 
 clean:
 	$(GO) clean ./...

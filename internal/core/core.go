@@ -51,7 +51,7 @@ import (
 
 // Version is reported in scan metadata. Per §5's release-discipline
 // lesson, it follows semantic versioning and changes with every release.
-const Version = "1.5.2"
+const Version = "1.5.3"
 
 // DefaultProbeModule is the module a Config with no ProbeModule runs.
 const DefaultProbeModule = "tcp_synscan"

@@ -594,29 +594,39 @@ func TestLinkDropsWhenFull(t *testing.T) {
 
 func TestLinkCloseStopsDelivery(t *testing.T) {
 	in := New(lossless(25))
-	link := NewLink(in, 8, 1e-5)
 	var ip uint32
 	for ; ; ip++ {
-		if in.ExpectedSYNACK(ip, 80, packet.BuildOptions(packet.LayoutMSS, 0)) {
+		if in.ExpectedSYNACK(ip, 80, packet.BuildOptions(packet.LayoutMSS, 0)) && in.BlowbackCount(ip, 80) == 0 {
 			break
 		}
 	}
+	// Scale the host's RTT to 50ms of wall time, so the response is
+	// scheduled before Close and fires after it.
+	link := NewLink(in, 8, float64(50*time.Millisecond)/float64(in.RTT(ip)))
+	drainPool()
+	marker := make([]byte, frameBufCap)
+	PutFrame(marker) // the response is built into this buffer
 	link.Send(buildSYNProbe(ip, 80, packet.LayoutMSS))
 	link.Close()
+	link.Close() // a second Close is harmless
 	link.Drain()
-	// No panic and no guarantee of delivery; just ensure Stats is sane.
-	sent, _, _ := link.Stats()
-	if sent != 1 {
-		t.Errorf("sent = %d, want 1", sent)
+	sent, received, _ := link.Stats()
+	if sent != 1 || received != 0 {
+		t.Errorf("sent = %d, received = %d; want 1, 0", sent, received)
 	}
-}
-
-func BenchmarkRespondSYN(b *testing.B) {
-	in := New(lossless(30))
-	probe := buildSYNProbe(12345, 80, packet.LayoutMSS)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchResp = in.Respond(probe)
+	select {
+	case f := <-link.Recv():
+		t.Fatalf("closed link delivered a %d-byte frame", len(f))
+	default:
+	}
+	recycled := false
+	for len(framePool) > 0 {
+		if b := <-framePool; &b[:1][0] == &marker[0] {
+			recycled = true
+		}
+	}
+	if !recycled {
+		t.Error("the undelivered response did not go back to the frame pool")
 	}
 }
 
@@ -629,10 +639,7 @@ func BenchmarkServiceOpen(b *testing.B) {
 	benchBool = sink
 }
 
-var (
-	benchResp []Response
-	benchBool bool
-)
+var benchBool bool
 
 func TestICMPRateLimiting(t *testing.T) {
 	cfg := lossless(26)

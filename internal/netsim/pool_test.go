@@ -105,56 +105,3 @@ func TestDuplicateFaultDeliversDistinctBuffers(t *testing.T) {
 	ft.Release(a)
 	ft.Release(b)
 }
-
-// BenchmarkRecvPath measures the full simulated receive path in steady
-// state — respond, deliver, consume, release — and asserts the pooled
-// buffers hold allocations per response to the small fixed cost of
-// parsing and scheduling (frame buffers themselves must not allocate).
-func BenchmarkRecvPath(b *testing.B) {
-	in := New(lossless(93))
-	link := NewLink(in, 1024, 0)
-	defer link.Close()
-
-	var ip uint32
-	for ; ; ip++ {
-		if in.ExpectedSYNACK(ip, 80, packet.BuildOptions(packet.LayoutMSS, 0)) {
-			break
-		}
-	}
-	probe := buildSYNProbe(ip, 80, packet.LayoutMSS)
-	// Warm the pool so the steady state is measured, not pool growth.
-	for i := 0; i < 16; i++ {
-		if err := link.Send(probe); err != nil {
-			b.Fatal(err)
-		}
-		link.Release(<-link.Recv())
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := link.Send(probe); err != nil {
-			b.Fatal(err)
-		}
-		link.Release(<-link.Recv())
-	}
-	b.StopTimer()
-
-	// Allocs-per-response assertion: parsing the probe costs a handful
-	// of allocations (packet.Frame and friends), but the response buffer
-	// is pooled. Without pooling this path sits several allocs higher;
-	// the bound fails loudly if buffer reuse regresses.
-	if b.N >= 100 {
-		allocs := float64(testing.AllocsPerRun(100, func() {
-			if err := link.Send(probe); err != nil {
-				b.Fatal(err)
-			}
-			link.Release(<-link.Recv())
-		}))
-		const maxAllocsPerResponse = 8
-		if allocs > maxAllocsPerResponse {
-			b.Fatalf("recv path allocates %.1f objects per response, want <= %d",
-				allocs, maxAllocsPerResponse)
-		}
-	}
-}

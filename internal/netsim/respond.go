@@ -29,51 +29,64 @@ func (in *Internet) ExpectedSYNACK(ip uint32, port uint16, options []byte) bool 
 	return in.ServiceOpen(ip, port) && in.AcceptsSYN(ip, port, options)
 }
 
+// scratchPool holds the host model's parse scratches. A scratch cannot
+// live on a responder's stack: parsing points its Frame at the scratch's
+// own headers, so escape analysis would move it to the heap per call.
+var scratchPool = sync.Pool{New: func() any { return new(packet.FrameScratch) }}
+
 // Respond consumes a raw probe frame and returns the responses it
 // elicits, including transient loss on both directions and blowback
 // duplicate trains. A nil or empty result means silence. Respond is safe
 // for concurrent use.
 func (in *Internet) Respond(probe []byte) []Response {
+	sc := scratchPool.Get().(*packet.FrameScratch)
+	out := in.appendResponses(nil, sc, probe)
+	scratchPool.Put(sc)
+	return out
+}
+
+// appendResponses is Respond's host model: it parses probe into sc and
+// appends the responses it elicits to out. The caller owns both; sc is
+// reusable once it returns.
+func (in *Internet) appendResponses(out []Response, sc *packet.FrameScratch, probe []byte) []Response {
 	// Dispatch on ethertype: the v6 hitlist path shares the link.
 	if len(probe) >= packet.EthernetHeaderLen &&
 		uint16(probe[12])<<8|uint16(probe[13]) == packet.EtherTypeIPv6 {
-		return in.Respond6(probe)
+		return in.appendResponses6(out, probe)
 	}
-	f, err := packet.Parse(probe)
+	f, err := sc.Parse(probe)
 	if err != nil {
-		return nil
+		return out
 	}
 	if in.pathLost(f.IP.Src, f.IP.Dst, in.cfg.ProbeLoss) {
-		return nil
+		return out
 	}
 	switch {
 	case f.TCP != nil:
-		return in.respondTCP(f)
+		return in.respondTCP(out, f)
 	case f.ICMP != nil:
-		return in.respondICMP(f)
+		return in.respondICMP(out, f)
 	case f.UDP != nil:
-		return in.respondUDP(f, probe)
+		return in.respondUDP(out, f, probe)
 	default:
-		return nil
+		return out
 	}
 }
 
-func (in *Internet) respondTCP(f *packet.Frame) []Response {
+func (in *Internet) respondTCP(out []Response, f *packet.Frame) []Response {
 	if f.TCP.Flags == packet.FlagSYN|packet.FlagACK {
-		return in.respondSYNACKProbe(f)
+		return in.respondSYNACKProbe(out, f)
 	}
 	if f.TCP.Flags&packet.FlagSYN == 0 || f.TCP.Flags&packet.FlagACK != 0 {
-		return nil // other non-SYN segments are not answered at L4
+		return out // other non-SYN segments are not answered at L4
 	}
 	ip, port := f.IP.Dst, f.TCP.DstPort
 	rtt := in.RTT(ip)
 
 	synack := in.ExpectedSYNACK(ip, port, f.TCP.Options)
 	if synack {
-		frame := in.buildTCPReply(f, packet.FlagSYN|packet.FlagACK)
-		var out []Response
 		if !in.lost(in.cfg.ResponseLoss) {
-			out = append(out, Response{Delay: rtt, Frame: frame})
+			out = append(out, Response{Delay: rtt, Frame: in.buildTCPReply(f, packet.FlagSYN|packet.FlagACK)})
 		}
 		// Middleboxes answer statelessly and do not blow back.
 		dups := 0
@@ -98,11 +111,11 @@ func (in *Internet) respondTCP(f *packet.Frame) []Response {
 	// Closed port on a live host: maybe RST.
 	if in.Live(ip) && uniform(in.hash(purposeRST, ip, port)) < in.cfg.RSTFraction {
 		if in.lost(in.cfg.ResponseLoss) {
-			return nil
+			return out
 		}
-		return []Response{{Delay: rtt, Frame: in.buildTCPReply(f, packet.FlagRST|packet.FlagACK)}}
+		return append(out, Response{Delay: rtt, Frame: in.buildTCPReply(f, packet.FlagRST|packet.FlagACK)})
 	}
-	return nil
+	return out
 }
 
 // respondSYNACKProbe handles tcp_synackscan's unsolicited SYN-ACKs: an
@@ -110,16 +123,16 @@ func (in *Internet) respondTCP(f *packet.Frame) []Response {
 // sequence number equals the segment's acknowledgment number. Backscatter
 // liveness probing measures exactly this, so middleboxes (stateless SYN
 // responders) stay silent here.
-func (in *Internet) respondSYNACKProbe(f *packet.Frame) []Response {
+func (in *Internet) respondSYNACKProbe(out []Response, f *packet.Frame) []Response {
 	ip := f.IP.Dst
 	if !in.Live(ip) {
-		return nil
+		return out
 	}
 	if uniform(in.hash(purposeRST+8, ip, f.TCP.DstPort)) >= in.cfg.SYNACKRSTFraction {
-		return nil
+		return out
 	}
 	if in.lost(in.cfg.ResponseLoss) {
-		return nil
+		return out
 	}
 	buf := getFrame()
 	buf = packet.AppendEthernet(buf, hostMAC, f.EthSrc, packet.EtherTypeIPv4)
@@ -136,7 +149,7 @@ func (in *Internet) respondSYNACKProbe(f *packet.Frame) []Response {
 		Seq:     f.TCP.Ack, // RST takes its seq from the offending ack
 		Flags:   packet.FlagRST,
 	}, f.IP.Dst, f.IP.Src, nil) // options are empty; cannot fail
-	return []Response{{Delay: in.RTT(ip), Frame: buf}}
+	return append(out, Response{Delay: in.RTT(ip), Frame: buf})
 }
 
 // icmpAllowed consumes one slot of a host's ICMP rate budget, returning
@@ -191,19 +204,19 @@ func (in *Internet) buildTCPReply(f *packet.Frame, flags byte) []byte {
 	return buf
 }
 
-func (in *Internet) respondICMP(f *packet.Frame) []Response {
+func (in *Internet) respondICMP(out []Response, f *packet.Frame) []Response {
 	if f.ICMP.Type != packet.ICMPEchoRequest {
-		return nil
+		return out
 	}
 	ip := f.IP.Dst
 	if !in.Live(ip) || uniform(in.hash(purposeICMP, ip, 0)) >= in.cfg.ICMPEchoFraction {
-		return nil
+		return out
 	}
 	if !in.icmpAllowed(ip) {
-		return nil // rate-limited host went silent (Guo & Heidemann)
+		return out // rate-limited host went silent (Guo & Heidemann)
 	}
 	if in.lost(in.cfg.ResponseLoss) {
-		return nil
+		return out
 	}
 	buf := getFrame()
 	buf = packet.AppendEthernet(buf, hostMAC, f.EthSrc, packet.EtherTypeIPv4)
@@ -211,7 +224,7 @@ func (in *Internet) respondICMP(f *packet.Frame) []Response {
 		TTL: 64, Protocol: packet.ProtocolICMP, Src: f.IP.Dst, Dst: f.IP.Src,
 	}, packet.ICMPHeaderLen+len(f.Payload))
 	buf = packet.AppendICMPEcho(buf, packet.ICMPEchoReply, f.ICMP.ID, f.ICMP.Seq, f.Payload)
-	return []Response{{Delay: in.RTT(ip), Frame: buf}}
+	return append(out, Response{Delay: in.RTT(ip), Frame: buf})
 }
 
 // UDPServiceOpen reports whether a UDP service listens at (ip, port).
@@ -223,12 +236,12 @@ func (in *Internet) UDPServiceOpen(ip uint32, port uint16) bool {
 	return p > 0 && uniform(in.hash(purposeUDP, ip, port)) < p
 }
 
-func (in *Internet) respondUDP(f *packet.Frame, probe []byte) []Response {
+func (in *Internet) respondUDP(out []Response, f *packet.Frame, probe []byte) []Response {
 	ip, port := f.IP.Dst, f.UDP.DstPort
 	rtt := in.RTT(ip)
 	if in.UDPServiceOpen(ip, port) {
 		if in.lost(in.cfg.ResponseLoss) {
-			return nil
+			return out
 		}
 		payload := []byte("sim-udp-reply")
 		if port == 53 {
@@ -242,11 +255,11 @@ func (in *Internet) respondUDP(f *packet.Frame, probe []byte) []Response {
 			TTL: 64, Protocol: packet.ProtocolUDP, Src: f.IP.Dst, Dst: f.IP.Src,
 		}, packet.UDPHeaderLen+len(payload))
 		buf = packet.AppendUDP(buf, port, f.UDP.SrcPort, f.IP.Dst, f.IP.Src, payload)
-		return []Response{{Delay: rtt, Frame: buf}}
+		return append(out, Response{Delay: rtt, Frame: buf})
 	}
 	if in.Live(ip) && uniform(in.hash(purposeUDP+8, ip, port)) < in.cfg.UDPUnreachFraction {
 		if in.lost(in.cfg.ResponseLoss) {
-			return nil
+			return out
 		}
 		// ICMP port unreachable carrying the original IP header + 8 bytes.
 		quote := probe[packet.EthernetHeaderLen:]
@@ -268,13 +281,13 @@ func (in *Internet) respondUDP(f *packet.Frame, probe []byte) []Response {
 		ck := packet.Checksum(buf[icmpStart:], 0)
 		buf[icmpStart+2] = byte(ck >> 8)
 		buf[icmpStart+3] = byte(ck)
-		return []Response{{Delay: rtt, Frame: buf}}
+		return append(out, Response{Delay: rtt, Frame: buf})
 	}
-	return nil
+	return out
 }
 
 // Link is the asynchronous attachment point between a scanner and the
-// simulated Internet: Send injects a probe, and elicited responses arrive
+// simulated Internet: SendBatch injects probes, and elicited responses arrive
 // on Recv after their (scaled) simulated delays. A full receive buffer
 // drops frames, modeling kernel ring-buffer drops, and the drop count is
 // reported like ZMap's monitor does.
@@ -296,8 +309,7 @@ type Link struct {
 	weather    *Weather
 	weatherObs WeatherObserver
 
-	mu      sync.Mutex
-	closed  bool
+	closed  atomic.Bool
 	pending sync.WaitGroup
 	drops   atomic.Uint64
 	sent    atomic.Uint64
@@ -332,13 +344,37 @@ func NewLink(in *Internet, buffer int, timeScale float64) *Link {
 // otherwise.
 func (l *Link) SetDelayRecorder(r DelayRecorder) { l.delays = r }
 
-// Send injects one probe frame. The frame is processed synchronously
-// (loss, host model) and responses are scheduled for delivery. The
-// lossless in-process link never fails; the error return exists so Link
+// Send injects one probe frame: a one-element SendBatch.
+func (l *Link) Send(frame []byte) error {
+	_, err := l.SendBatch([][]byte{frame})
+	return err
+}
+
+// SendBatch injects a batch of probe frames. Each frame is processed
+// synchronously (loss, host model) and its responses are scheduled for
+// delivery; the caller may reuse the frames' buffers once SendBatch
+// returns. The batch shares one pooled parse scratch, and each frame's
+// responses are appended into one small array on this stack, so a batch
+// allocates nothing unless a blowback train outgrows the array. The
+// in-process link never fails; the error return exists so Link
 // satisfies the engine's fallible Transport contract (wrap it in a
 // FaultyTransport to inject failures).
-func (l *Link) Send(frame []byte) error {
-	l.sent.Add(1)
+func (l *Link) SendBatch(frames [][]byte) (int, error) {
+	l.sent.Add(uint64(len(frames)))
+	sc := scratchPool.Get().(*packet.FrameScratch)
+	var store [4]Response
+	out := store[:0]
+	for _, frame := range frames {
+		out = l.send(out[:0], sc, frame)
+	}
+	scratchPool.Put(sc)
+	return len(frames), nil
+}
+
+// send runs one probe through the weather, congestion and host models
+// and schedules its responses. out is scratch storage for the responses;
+// send returns it, grown if the probe elicited more than it held.
+func (l *Link) send(out []Response, sc *packet.FrameScratch, frame []byte) []Response {
 	var wEl time.Duration
 	var wDst uint32
 	var wIsV4 bool
@@ -346,14 +382,14 @@ func (l *Link) Send(frame []byte) error {
 		wEl = l.weather.elapsed(time.Now())
 		wDst, wIsV4 = frameDstIPv4(frame)
 		if l.weatherSend(frame, wDst, wIsV4, wEl) {
-			return nil // consumed by a scripted fault
+			return out // consumed by a scripted fault
 		}
 	}
 	if l.cong != nil && l.congest(frame) {
-		return nil // dropped at the knee or swallowed by a dark prefix
+		return out // dropped at the knee or swallowed by a dark prefix
 	}
-	responses := l.in.Respond(frame)
-	for _, r := range responses {
+	out = l.in.appendResponses(out, sc, frame)
+	for _, r := range out {
 		if l.weather != nil && wIsV4 {
 			drop, extra := l.weather.reverseDecide(wDst, wEl)
 			if drop {
@@ -364,7 +400,7 @@ func (l *Link) Send(frame []byte) error {
 		}
 		l.schedule(r.Delay, r.Frame)
 	}
-	return nil
+	return out
 }
 
 // schedule queues one response frame for delivery after the simulated
@@ -385,32 +421,15 @@ func (l *Link) schedule(simDelay time.Duration, frame []byte) {
 	})
 }
 
-// SendBatch injects a batch of probe frames. The in-process link cannot
-// partially fail, but the contract matches the engine's BatchTransport:
-// frames[:sent] were handed off before the error. Frames are consumed
-// synchronously — the caller may reuse their buffers once SendBatch
-// returns.
-func (l *Link) SendBatch(frames [][]byte) (int, error) {
-	for i, frame := range frames {
-		if err := l.Send(frame); err != nil {
-			return i, err
-		}
-	}
-	return len(frames), nil
-}
-
 // Release returns a frame previously delivered by Recv to the response
 // buffer pool. Optional: unreleased frames are garbage collected.
 func (l *Link) Release(frame []byte) { PutFrame(frame) }
 
 func (l *Link) deliver(frame []byte) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	if l.closed.Load() {
 		PutFrame(frame)
 		return
 	}
-	l.mu.Unlock()
 	select {
 	case l.recv <- frame:
 		l.rcvd.Add(1)
@@ -452,9 +471,6 @@ func (l *Link) Stats() (sent, received, dropped uint64) {
 	return l.sent.Load(), l.rcvd.Load(), l.drops.Load()
 }
 
-// Close stops future deliveries. Pending timers fire harmlessly.
-func (l *Link) Close() {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-}
+// Close stops future deliveries: pending timers fire harmlessly and
+// return their frames to the pool. Closing twice is harmless.
+func (l *Link) Close() { l.closed.Store(true) }

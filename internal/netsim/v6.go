@@ -58,33 +58,36 @@ func (in *Internet) ServiceOpen6(addr [16]byte, port uint16) bool {
 // RST from live hosts on closed ports, silence otherwise. There are no
 // v6 middleboxes in the model — SYN-ACK-everything prefixes are a v4
 // telescope phenomenon.
-func (in *Internet) Respond6(probe []byte) []Response {
+func (in *Internet) Respond6(probe []byte) []Response { return in.appendResponses6(nil, probe) }
+
+// appendResponses6 is Respond6 appending into the caller's out.
+func (in *Internet) appendResponses6(out []Response, probe []byte) []Response {
 	f, err := packet.ParseIPv6(probe)
 	if err != nil || f.TCP == nil {
-		return nil
+		return out
 	}
 	if f.TCP.Flags != packet.FlagSYN {
-		return nil
+		return out
 	}
 	if in.lost(in.cfg.ProbeLoss) {
-		return nil
+		return out
 	}
 	addr, port := f.IP.Dst, f.TCP.DstPort
 	rttKey := uint32(in.v6hash(purposeLatency, addr, 0))
 	rtt := in.RTT(rttKey)
 	if in.ServiceOpen6(addr, port) && in.acceptsSYN6(addr, port, f.TCP.Options) {
 		if in.lost(in.cfg.ResponseLoss) {
-			return nil
+			return out
 		}
-		return []Response{{Delay: rtt, Frame: in.buildTCP6Reply(f, packet.FlagSYN|packet.FlagACK)}}
+		return append(out, Response{Delay: rtt, Frame: in.buildTCP6Reply(f, packet.FlagSYN|packet.FlagACK)})
 	}
 	if in.Live6(addr) && uniform(in.v6hash(purposeRST, addr, port)) < in.cfg.RSTFraction {
 		if in.lost(in.cfg.ResponseLoss) {
-			return nil
+			return out
 		}
-		return []Response{{Delay: rtt, Frame: in.buildTCP6Reply(f, packet.FlagRST|packet.FlagACK)}}
+		return append(out, Response{Delay: rtt, Frame: in.buildTCP6Reply(f, packet.FlagRST|packet.FlagACK)})
 	}
-	return nil
+	return out
 }
 
 // acceptsSYN6 applies the option-sensitivity model to v6 services.

@@ -263,17 +263,9 @@ var (
 // transport. The returned Frame aliases data; callers that retain frames
 // across buffer reuse must copy. Parsing is strict: header lengths,
 // total-length fields, and data offsets are all validated against the
-// actual buffer.
-func Parse(data []byte) (*Frame, error) {
-	var f Frame
-	if err := parseInto(&f, nil, data, false); err != nil {
-		// Never hand back a half-populated frame: a caller that misses
-		// the error must get a nil dereference, not silently read
-		// whichever headers happened to parse before the fault.
-		return nil, err
-	}
-	return &f, nil
-}
+// actual buffer. Each call allocates one FrameScratch; hot paths own a
+// scratch and call its Parse instead.
+func Parse(data []byte) (*Frame, error) { return new(FrameScratch).Parse(data) }
 
 // ParseVerified is Parse with checksum verification folded into the same
 // pass: after the structural walk validates every offset, the IP header
@@ -282,18 +274,12 @@ func Parse(data []byte) (*Frame, error) {
 // VerifyChecksums shape). Rejection taxonomy: structural faults return
 // ErrTruncated/ErrUnsupported exactly as Parse would; a frame Parse
 // accepts that VerifyChecksums would refuse returns ErrChecksum.
-func ParseVerified(data []byte) (*Frame, error) {
-	var f Frame
-	if err := parseInto(&f, nil, data, true); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
+func ParseVerified(data []byte) (*Frame, error) { return new(FrameScratch).ParseVerified(data) }
 
-// FrameScratch is reusable parse state for a zero-allocation receive
-// path: the transport-header structs Parse heap-allocates per call live
-// in the scratch instead and are re-pointed into the Frame each parse.
-// A scratch is single-owner — one per receive worker, never shared.
+// FrameScratch is reusable parse state for a zero-allocation parse: the
+// Frame and its transport-header structs live in the scratch and are
+// re-pointed into the Frame each parse. A scratch is single-owner — one
+// per receive worker or simulated link batch, never shared.
 type FrameScratch struct {
 	frame Frame
 	tcp   TCP
@@ -301,19 +287,32 @@ type FrameScratch struct {
 	icmp  ICMP
 }
 
+// Parse parses data into the scratch with the same semantics as the
+// package-level Parse, without its allocation. The returned Frame (and
+// everything it points to) is valid only until the next call on this
+// scratch.
+func (s *FrameScratch) Parse(data []byte) (*Frame, error) { return s.parse(data, false) }
+
 // ParseVerified parses and checksum-verifies data into the scratch with
 // the same semantics as the package-level ParseVerified, without its
-// allocations. The returned Frame (and everything it points to) is
-// valid only until the next call on this scratch.
-func (s *FrameScratch) ParseVerified(data []byte) (*Frame, error) {
+// allocation. The returned Frame (and everything it points to) is valid
+// only until the next call on this scratch.
+func (s *FrameScratch) ParseVerified(data []byte) (*Frame, error) { return s.parse(data, true) }
+
+func (s *FrameScratch) parse(data []byte, verify bool) (*Frame, error) {
+	// Reset first: no header pointer from the previous parse survives.
 	s.frame = Frame{}
-	if err := parseInto(&s.frame, s, data, true); err != nil {
+	if err := parseInto(s, data, verify); err != nil {
+		// Never hand back a half-populated frame: a caller that misses
+		// the error must get a nil dereference, not silently read
+		// whichever headers happened to parse before the fault.
 		return nil, err
 	}
 	return &s.frame, nil
 }
 
-func parseInto(f *Frame, sc *FrameScratch, data []byte, verify bool) error {
+func parseInto(sc *FrameScratch, data []byte, verify bool) error {
+	f := &sc.frame
 	if len(data) < EthernetHeaderLen {
 		return fmt.Errorf("%w: frame %d bytes", ErrTruncated, len(data))
 	}
@@ -323,10 +322,11 @@ func parseInto(f *Frame, sc *FrameScratch, data []byte, verify bool) error {
 	if etherType != EtherTypeIPv4 {
 		return fmt.Errorf("%w: ethertype 0x%04x", ErrUnsupported, etherType)
 	}
-	return parseIPv4(f, sc, data[EthernetHeaderLen:], verify)
+	return parseIPv4(sc, data[EthernetHeaderLen:], verify)
 }
 
-func parseIPv4(f *Frame, sc *FrameScratch, data []byte, verify bool) error {
+func parseIPv4(sc *FrameScratch, data []byte, verify bool) error {
+	f := &sc.frame
 	if len(data) < IPv4HeaderLen {
 		return fmt.Errorf("%w: ip header %d bytes", ErrTruncated, len(data))
 	}
@@ -367,29 +367,11 @@ func parseIPv4(f *Frame, sc *FrameScratch, data []byte, verify bool) error {
 	var err error
 	switch f.IP.Protocol {
 	case ProtocolTCP:
-		var t *TCP
-		if sc != nil {
-			t = &sc.tcp
-		} else {
-			t = new(TCP)
-		}
-		err = parseTCP(f, t, payload)
+		err = parseTCP(f, &sc.tcp, payload)
 	case ProtocolUDP:
-		var u *UDP
-		if sc != nil {
-			u = &sc.udp
-		} else {
-			u = new(UDP)
-		}
-		err = parseUDP(f, u, payload)
+		err = parseUDP(f, &sc.udp, payload)
 	case ProtocolICMP:
-		var ic *ICMP
-		if sc != nil {
-			ic = &sc.icmp
-		} else {
-			ic = new(ICMP)
-		}
-		err = parseICMP(f, ic, payload)
+		err = parseICMP(f, &sc.icmp, payload)
 	default:
 		return fmt.Errorf("%w: ip protocol %d", ErrUnsupported, f.IP.Protocol)
 	}

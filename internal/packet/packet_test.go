@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -357,15 +358,20 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-// FuzzParse hammers the parser with arbitrary frames. Two invariants:
+// FuzzParse hammers the parser with arbitrary frames. Three invariants:
 // no panic (the receive path feeds this function raw network input),
-// and every error stays inside the documented taxonomy — wrapping
+// every error stays inside the documented taxonomy — wrapping
 // ErrTruncated or ErrUnsupported — so the engine's per-class fault
-// counters classify every rejection.
+// counters classify every rejection, and a reused FrameScratch answers
+// exactly as a fresh parse does, whatever protocol it parsed last.
 func FuzzParse(f *testing.F) {
+	previous := [][]byte{buildSYNForFuzz(), buildUDPReply([]byte("dns")), buildEchoReply()}
 	f.Add([]byte{})
+	for _, seed := range previous {
+		f.Add(seed)
+	}
+	f.Add(buildUnreach(9, 0x01020304, 0x05060708, 54321, 53))
 	syn := buildSYNForFuzz()
-	f.Add(syn)
 	// Truncations at every structural boundary: mid-Ethernet, mid-IP,
 	// mid-TCP, mid-options.
 	for _, n := range []int{1, 13, 14, 20, 33, 34, 40, 53, len(syn) - 1} {
@@ -396,6 +402,21 @@ func FuzzParse(f *testing.F) {
 		}
 		// Checksum verification must tolerate anything the parser does.
 		VerifyChecksums(data)
+		// Reuse: no header of the previous frame (a TCP pointer under a
+		// UDP frame, say) may survive into this one.
+		for _, prev := range previous {
+			var sc FrameScratch
+			if _, perr := sc.Parse(prev); perr != nil {
+				t.Fatal(perr)
+			}
+			got, gotErr := sc.Parse(data)
+			if errClass(gotErr) != errClass(err) {
+				t.Fatalf("reused scratch: %v, fresh parse: %v", gotErr, err)
+			}
+			if err == nil && !reflect.DeepEqual(got, frame) {
+				t.Fatalf("reused scratch parse differs:\n reused %+v\n fresh  %+v", got, frame)
+			}
+		}
 	})
 }
 

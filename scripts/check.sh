@@ -35,8 +35,8 @@ go test -race -count=1 ./...
 # in it. What follows is only what that line cannot do: these skip or
 # mis-measure under the race detector.
 echo "==> zero-alloc hot paths (skipped under -race)"
-go test -count=1 -run 'TestShardedRecvZeroAllocs|TestBatchSendPathZeroAllocs|TestComputeZeroAlloc' \
-    ./internal/core ./internal/validate
+go test -count=1 -run 'TestShardedRecvZeroAllocs|TestBatchSendPathZeroAllocs|TestComputeZeroAlloc|TestLinkSendBatchZeroAllocs' \
+    ./internal/core ./internal/validate ./internal/netsim
 
 echo "==> flight recorder overhead budget (timing, so without -race)"
 go test -count=1 -run 'TestTracingOverheadWithinTwoPercent' ./zmap
